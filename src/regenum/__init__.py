@@ -12,7 +12,6 @@ from .telescope import (
     FailPositiveDim,
     PipelineFailure,
     ReductionBasis,
-    derive_ode,
     left_kernel_step,
     red,
     reduction_basis,
@@ -60,7 +59,6 @@ __all__ = [
     "reduction_basis",
     "red",
     "left_kernel_step",
-    "derive_ode",
     "run_pipeline",
     "WeylOp",
     "adjoint",

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 
 from .models import parse_model
 from .oracle import graph_count_dp, scalar_series
@@ -48,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true", help="diff unrolled counts against both oracles")
     p.add_argument("--max-oracle-n", type=int, default=8, metavar="N", help="oracle range for --check (default: 8)")
     p.add_argument("--out", metavar="PATH", help="write the artifact to PATH instead of standard output")
-    p.add_argument("--jobs", type=int, default=1, metavar="N", help="parallel workers for --check oracle counts")
     p.add_argument("--trace", action="store_true", help="emit and verify the reduction replay certificate on stderr")
     p.add_argument("--dump-generators", action="store_true", help="print the twisted generators to stderr")
     p.add_argument("--dump-gb", action="store_true", help="print the module Groebner basis to stderr")
@@ -56,14 +56,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _dp_counts(model, n_max, jobs):
-    ns = list(range(n_max + 1))
-    if jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            return pool.starmap(graph_count_dp, [(model, n, max(n_max, 10)) for n in ns])
-    return [graph_count_dp(model, n, max(n_max, 10)) for n in ns]
+@contextmanager
+def _unlimited_int_str():
+    """Lift the interpreter's int-to-str digit limit for the duration, so
+    counts of any size print in full.  Interpreters without the limit
+    (CPython before 3.10.7) need nothing."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    saved = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def _emit_text(args, res, rec_taylor, rec_cnt, counts):
@@ -169,7 +176,7 @@ def main(argv=None) -> int:
         n_max = args.max_oracle_n
         series = scalar_series(model, n_max)
         want = series.counts()
-        dp = _dp_counts(model, n_max, args.jobs)
+        dp = [graph_count_dp(model, n, max(n_max, 10)) for n in range(n_max + 1)]
         for n in range(n_max + 1):
             if counts[n] != dp[n] or counts[n] != want[n]:
                 print(
@@ -180,9 +187,10 @@ def main(argv=None) -> int:
                 return MISMATCH_EXIT
         print(f"[check] oracles agree with unrolled counts for n <= {n_max}", file=sys.stderr)
 
-    emitted = (_emit_json if args.format == "json" else _emit_text)(
-        args, res, rec_taylor, rec_cnt, counts[: args.terms + 1]
-    )
+    with _unlimited_int_str():
+        emitted = (_emit_json if args.format == "json" else _emit_text)(
+            args, res, rec_taylor, rec_cnt, counts[: args.terms + 1]
+        )
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(emitted)

@@ -18,7 +18,6 @@ from fractions import Fraction
 from math import gcd as _igcd
 
 Rat = Fraction
-BigInt = int
 
 #: Degree of the zero polynomial.
 NEG_INF = float("-inf")
@@ -28,8 +27,9 @@ NEG_INF = float("-inf")
 # Raw integer-coefficient polynomial helpers.
 #
 # Polynomials are tuples/lists of ints, ascending powers, no trailing zeros.
-# These back RatFunc and the fraction-free elimination; they avoid object
-# overhead in the inner loops.
+# These back UniPoly, RatFunc and the fraction-free elimination; they avoid
+# object overhead in the inner loops.  Apart from the gcd and exact-division
+# helpers they take rational coefficients as well.
 # ---------------------------------------------------------------------------
 
 def ztrim(cs: list) -> list:
@@ -85,10 +85,6 @@ def zcontent(a) -> int:
             if g == 1:
                 return 1
     return g
-
-
-def zdivscalar(a, c):
-    return [x // c for x in a]
 
 
 def zprim(a):
@@ -178,8 +174,13 @@ def zeval(a, x):
     return out
 
 
+def zderiv(a):
+    """Derivative in t."""
+    return [i * a[i] for i in range(1, len(a))]
+
+
 def zshift_arg(a, s):
-    """Compose with a shifted argument: returns a(t + s) for integer s."""
+    """Compose with a shifted argument: returns a(t + s) by Horner."""
     out = []
     for c in reversed(a):
         out = zadd(zmul(out, [s, 1]), [c] if c else [])
@@ -196,11 +197,8 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
         norm = []
-        for c in cs:
+        for c in ztrim(list(coeffs)):
             if isinstance(c, Fraction):
                 norm.append(int(c) if c.denominator == 1 else c)
             else:
@@ -211,14 +209,6 @@ class UniPoly:
     @classmethod
     def const(cls, c):
         return cls((c,))
-
-    @classmethod
-    def var(cls):
-        return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, c, n):
-        return cls((0,) * n + (c,))
 
     # -- structure ----------------------------------------------------
     @property
@@ -246,39 +236,19 @@ class UniPoly:
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
+        return UniPoly(zadd(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        out = list(self.coeffs) + [0] * (len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return UniPoly(out)
+        return UniPoly(zsub(self.coeffs, other.coeffs))
 
     def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
+        return UniPoly(zneg(self.coeffs))
 
     def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return UniPoly(out)
+        return UniPoly(zmul(self.coeffs, other.coeffs))
 
     def scale(self, c):
-        if not c:
-            return UniPoly()
-        return UniPoly([x * c for x in self.coeffs])
+        return UniPoly(zscale(self.coeffs, c))
 
     def __pow__(self, n: int):
         out = UniPoly((1,))
@@ -311,21 +281,14 @@ class UniPoly:
         return UniPoly(q), UniPoly(r)
 
     def derivative(self):
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return UniPoly(zderiv(self.coeffs))
 
     def evaluate(self, x):
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        return zeval(self.coeffs, x)
 
     def shift_arg(self, s):
-        """a(t + s) by Horner recomposition."""
-        out = UniPoly()
-        lin = UniPoly((s, 1))
-        for c in reversed(self.coeffs):
-            out = out * lin + UniPoly((c,))
-        return out
+        """a(t + s)."""
+        return UniPoly(zshift_arg(self.coeffs, s))
 
     # -- integer form -------------------------------------------------
     def as_integer_primitive(self):
@@ -382,9 +345,7 @@ def _coef_str(c) -> str:
     return str(int(c))
 
 
-UP_ZERO = UniPoly()
 UP_ONE = UniPoly((1,))
-UP_T = UniPoly((0, 1))
 
 
 def unipoly_gcd_content(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -462,7 +423,7 @@ class RatFunc:
     # -- structure ----------------------------------------------------
     @property
     def num(self) -> UniPoly:
-        return UniPoly([x * self.c for x in self.np]) if self.c else UP_ZERO
+        return UniPoly(zscale(self.np, self.c))
 
     @property
     def den(self) -> UniPoly:
@@ -568,10 +529,10 @@ class RatFunc:
         if not self.c or (self.np == (1,) and self.dp == (1,)):
             return RF_ZERO
         n, d = list(self.np), list(self.dp)
-        dn = ztrim([i * c for i, c in enumerate(n)][1:])
+        dn = zderiv(n)
         if d == [1]:
             return RatFunc._reduced(self.c, dn, [1]) if dn else RF_ZERO
-        dd = ztrim([i * c for i, c in enumerate(d)][1:])
+        dd = zderiv(d)
         u = zsub(zmul(dn, d), zmul(n, dd))
         if not u:
             return RF_ZERO

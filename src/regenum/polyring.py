@@ -99,10 +99,6 @@ class MPoly:
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def zero(cls, k):
-        return cls(k)
-
-    @classmethod
     def const(cls, k, c):
         c = rf(c)
         return cls(k, {(0,) * k: c} if c else {})
@@ -133,13 +129,6 @@ class MPoly:
 
     def coeff(self, exp) -> RatFunc:
         return self.terms.get(tuple(exp), RF_ZERO)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def weighted_degree(self) -> int:
-        """Max of sum (i+1)*e_i: the grading where p_i has weight i."""
-        return max((sum((i + 1) * x for i, x in enumerate(e)) for e in self.terms), default=-1)
 
     # -- arithmetic ---------------------------------------------------
     def _check(self, other):
@@ -218,11 +207,6 @@ class MPoly:
 
     def map_coeffs(self, fn) -> "MPoly":
         return MPoly(self.k, {e: v for e, c in self.terms.items() if (v := fn(c))})
-
-    # -- order-dependent views -----------------------------------------
-    def sorted_terms(self, order=MonomialOrder.GRADED_P, reverse=True):
-        key = order_key(order)
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=reverse)
 
     def __str__(self):
         from .weyl import mpoly_to_str

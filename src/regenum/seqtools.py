@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _igcd
 
-from .exactnum import UP_ONE, UniPoly, zcontent, zeval, zgcd
+from .exactnum import UP_ONE, UniPoly, zcontent, zderiv, zdivexact, zeval, zgcd
 
 
 class SequenceError(Exception):
@@ -191,10 +191,7 @@ def rec_counts(rec: Recurrence) -> Recurrence:
         if p.is_zero():
             out.append(UniPoly())
             continue
-        fac = UP_ONE
-        for l in range(s + 1, order + 1):
-            fac = fac * UniPoly((l, 1))
-        out.append(p * fac)
+        out.append(p * _falling(order, order - s))
     return Recurrence(_normalize_family(out), "counts")
 
 
@@ -228,52 +225,43 @@ def unroll(rec: Recurrence, init, n_max: int):
     if len(init) < 1:
         raise ValueError("initial segment must force at least c_0")
 
-    # instances that land entirely inside the forced segment must hold
-    for m in range(min(len(init), n_max + 1)):
-        n = m - order
-        acc = Fraction(0)
-        for j in range(order + 1):
-            idx = n + j
-            if 0 <= idx < len(init) and init[idx]:
-                acc += zeval(polys[j], n) * init[idx]
-        if acc:
-            raise InconsistentError(
-                f"forced initial segment violates the recurrence at index {m}"
-            )
-
     blocked = any(
         zeval(leadp, m - order) == 0 for m in range(len(init), n_max + 1)
     )
-    if not blocked and rec.mode == "counts":
-        # big-integer inner loop; exactness of every division is verified
-        values = []
+    counts = rec.mode == "counts"
+    values = list(init)
+    if counts and not blocked:
+        # big-integer arithmetic; exactness of every division is verified
         for v in init:
             if v.denominator != 1:
                 raise SequenceError(f"non-integer forced value {v} in counts mode")
-            values.append(v.numerator)
-        for m in range(len(init), n_max + 1):
-            n = m - order
-            acc = 0
-            for j in range(order):
-                idx = n + j
-                if 0 <= idx < len(values) and values[idx]:
-                    acc += zeval(polys[j], n) * values[idx]
+        values = [v.numerator for v in init]
+    zero = 0 if counts else Fraction(0)
+    # instances inside the forced segment must hold; later ones are solved
+    # for their newest term unless some leading coefficient vanishes
+    for m in range(n_max + 1):
+        n = m - order
+        acc = zero
+        for j in range(max(-n, 0), order):
+            v = values[n + j]
+            if v:
+                acc += zeval(polys[j], n) * v
+        if m < len(init):
+            if acc + zeval(leadp, n) * values[m]:
+                raise InconsistentError(
+                    f"forced initial segment violates the recurrence at index {m}"
+                )
+        elif blocked:
+            break
+        elif counts:
             q, r = divmod(-acc, zeval(leadp, n))
             if r:
                 raise SequenceError(f"non-integer count at n={m}")
             values.append(q)
-        return values[: n_max + 1]
-    if not blocked:
-        values = list(init)
-        for m in range(len(init), n_max + 1):
-            n = m - order
-            acc = Fraction(0)
-            for j in range(order):
-                idx = n + j
-                if 0 <= idx < len(values) and values[idx]:
-                    acc += zeval(polys[j], n) * values[idx]
+        else:
             values.append(-acc / zeval(leadp, n))
-        return _finalize(values[: n_max + 1], rec.mode)
+    if not blocked:
+        return values[: n_max + 1]
 
     # general path with symbolic blocked terms; instances are processed
     # past n_max up to the last degenerate index so that later constraints
@@ -414,11 +402,8 @@ def nonneg_integer_roots(p: UniPoly):
         cs = cs[v:]
     if len(cs) == 1:
         return sorted(roots)
-    dcs = [i * c for i, c in enumerate(cs)][1:]
-    sf = zgcd(cs, dcs)
+    sf = zgcd(cs, zderiv(cs))
     if len(sf) > 1:
-        from .exactnum import zdivexact
-
         cs = zdivexact(cs, sf)
     chain = _sturm_chain(cs)
     bound = 1 + max(abs(c) for c in cs) // abs(cs[-1]) + 1

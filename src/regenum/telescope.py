@@ -281,7 +281,3 @@ def run_pipeline(model: ModelSpec, want_trace: bool = False) -> PipelineResult:
         traces=traces,
         timings=timings,
     )
-
-
-def derive_ode(model: ModelSpec) -> ODE:
-    return run_pipeline(model).ode

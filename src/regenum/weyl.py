@@ -42,10 +42,6 @@ class WeylOp:
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def zero(cls, k):
-        return cls(k)
-
-    @classmethod
     def const(cls, k, c):
         c = rf(c)
         z = (0,) * k
@@ -497,11 +493,3 @@ def parse_op(text: str, k: int) -> WeylOp:
     if p.pos != len(text):
         p.error("trailing input")
     return out
-
-
-def parse_mpoly(text: str, k: int) -> MPoly:
-    op = parse_op(text, k)
-    z = (0,) * k
-    if any(b != z for (_, b) in op.terms):
-        raise ValueError("expected a pure polynomial (no d variables)")
-    return op.poly_part()

@@ -1,11 +1,12 @@
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from regenum.cli import main
-from regenum.seqtools import ode_from_json, rec_from_json
+from regenum.seqtools import ode_from_json, ode_to_rec, rec_counts, rec_from_json, unroll
 
 
 def run_cli(*argv):
@@ -24,6 +25,11 @@ class TestExitCodes:
     def test_usage_bad_model(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("se,zz,{3}")
+        assert exc.value.code == 64
+
+    def test_usage_unknown_flag(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("se,ll,{2}", "--jobs", "2")
         assert exc.value.code == 64
 
     def test_usage_two_models(self):
@@ -50,6 +56,36 @@ class TestEmit:
     def test_terms_zero(self):
         code, out, _ = run_cli("se,ll,{3}", "--emit", "terms", "--terms", "0")
         assert code == 0 and out == "0\t1\n"
+
+    def test_terms_past_int_str_limit(self):
+        from conftest import pipeline
+
+        r = unroll(rec_counts(ode_to_rec(pipeline("se,ll,{4}").ode)), [1], 2000)[2000]
+        # decimal digit count and first/last 8 digits, without int-to-str
+        ndig = max(1, r.bit_length() * 3 // 10)  # a lower bound: log10(2) > 0.3
+        while 10**ndig <= r:
+            ndig += 1
+        assert ndig > 4300
+        head, tail = r // 10 ** (ndig - 8), r % 10**8
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        limit = get_limit()
+        code, out, _ = run_cli("se,ll,{4}", "--emit", "terms", "--terms", "2000")
+        assert code == 0
+        n, digits = out.splitlines()[-1].split("\t")
+        code, out, _ = run_cli("se,ll,{4}", "--emit", "terms", "--terms", "2000", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["terms"][-1] == [2000, digits]
+        assert n == "2000" and len(digits) == ndig
+        assert digits[:8] == f"{head:08d}" and digits[-8:] == f"{tail:08d}"
+        assert get_limit() == limit
+
+    def test_int_str_limit_absent(self, monkeypatch):
+        # interpreters without the int-to-str limit lack the accessor
+        from regenum.cli import _unlimited_int_str
+
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        with _unlimited_int_str():
+            pass
 
     def test_ode_json_round_trip(self):
         code, out, _ = run_cli("se,ll,{3}", "--emit", "ode", "--format", "json")

@@ -5,7 +5,7 @@ import pytest
 
 from regenum.exactnum import RF_ONE, RatFunc, UniPoly, rf, unipoly_gcd_content
 
-from conftest import rand_ratfunc, rand_unipoly
+from conftest import rand_rat, rand_ratfunc, rand_unipoly
 
 
 def up(*cs):
@@ -133,3 +133,29 @@ class TestUniPoly:
     def test_shift_arg(self):
         p = up(1, 2, 3)
         assert p.shift_arg(2) == up(1 + 4 + 12, 2 + 12, 3)
+
+    def test_rational_arithmetic_by_evaluation(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            a, b = (UniPoly([rand_rat(rng) for _ in range(rng.randint(0, 4))]) for _ in range(2))
+            s, x = rand_rat(rng), rand_rat(rng, 9)
+            ax, bx = a.evaluate(x), b.evaluate(x)
+            assert (a + b).evaluate(x) == ax + bx
+            assert (a - b).evaluate(x) == ax - bx
+            assert (-a).evaluate(x) == -ax
+            assert (a * b).evaluate(x) == ax * bx
+            assert a.scale(s).evaluate(x) == s * ax
+            assert a.shift_arg(s).evaluate(x) == a.evaluate(x + s)
+            # a(t + x) = a(x) + a'(x) t + ...
+            taylor = a.shift_arg(x).coeffs + (0, 0)
+            assert taylor[0] == ax and taylor[1] == a.derivative().evaluate(x)
+            assert (a * b).derivative().evaluate(x) == (
+                a.derivative().evaluate(x) * bx + ax * b.derivative().evaluate(x)
+            )
+
+    def test_integral_fractions_become_ints(self):
+        half = up(Fraction(1, 2), Fraction(3, 2))
+        total = half + half
+        assert total == up(1, 3)
+        assert all(type(c) is int for c in total.coeffs)
+        assert (half - half).is_zero()

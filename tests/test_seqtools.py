@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -129,6 +130,14 @@ class TestUnroll:
         with pytest.raises(UnderdeterminedError) as exc:
             unroll(rec, [1], 5)
         assert exc.value.index == 1
+
+    def test_counts_equal_factorial_times_taylor(self):
+        for ms in ("se,ll,{4}", "me,la,{2}", "se,lh,{1,2}"):
+            rec = ode_to_rec(pipeline(ms).ode)
+            counts = unroll(rec_counts(rec), [1], 60)
+            taylor = unroll(rec, [1], 60)
+            assert all(type(r) is int for r in counts)
+            assert counts == [factorial(n) * c for n, c in enumerate(taylor)], ms
 
     def test_counts_integrality_guard(self):
         # 2(n+1) c_{n+1} = c_n admits c_0 = 1 but forces halves
