@@ -4,7 +4,8 @@ Parses a model, derives the ODE, converts and unrolls, optionally checks
 the pipeline against both oracles, and emits byte-exact text or JSON.
 
 Exit codes: 0 success; 2 FAIL / FAIL-DOMINANCE from the derivation;
-3 verification mismatch in --check mode; 64 usage errors.
+3 verification mismatch in --check mode; 64 usage errors, including an
+unwritable --out path.
 """
 
 from __future__ import annotations
@@ -115,6 +116,8 @@ def main(argv=None) -> int:
         parser.error("exactly one model must be given (positional or --model)")
     if args.terms < 0:
         parser.error("--terms must be >= 0")
+    if args.max_oracle_n < 0:
+        parser.error("--max-oracle-n must be >= 0")
     try:
         model = parse_model(args.model_pos or args.model_opt)
     except ValueError as exc:
@@ -192,8 +195,12 @@ def main(argv=None) -> int:
             args, res, rec_taylor, rec_cnt, counts[: args.terms + 1]
         )
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(emitted)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(emitted)
+        except OSError as exc:
+            print(f"{parser.prog}: error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return USAGE_EXIT
     else:
         sys.stdout.write(emitted)
     return 0

@@ -167,6 +167,15 @@ def zdivexact(a, b):
     return q
 
 
+def zgcd_split(a, b):
+    """``(g, a/g, b/g)`` with g = zgcd(a, b); the divisions are skipped
+    when g is 1."""
+    g = zgcd(a, b)
+    if g == [1]:
+        return g, a, b
+    return g, zdivexact(a, g), zdivexact(b, g)
+
+
 def zeval(a, x):
     out = 0
     for c in reversed(a):
@@ -412,12 +421,9 @@ class RatFunc:
         g, np = zprim(np)
         h, dp = zprim(dp)
         c = c * Fraction(g, h)
-        w = zgcd(np, dp)
-        if len(w) > 1:
-            # Gauss: quotients of primitives by their primitive gcd stay
-            # primitive with positive leading coefficients.
-            np = zdivexact(np, w)
-            dp = zdivexact(dp, w)
+        # Gauss: quotients of primitives by their primitive gcd stay
+        # primitive with positive leading coefficients.
+        _, np, dp = zgcd_split(np, dp)
         return cls(c, tuple(np), tuple(dp))
 
     # -- structure ----------------------------------------------------
@@ -469,19 +475,14 @@ class RatFunc:
         if d1 == d2:
             g, e1, e2 = list(d1), [1], [1]
         else:
-            g = zgcd(list(d1), list(d2))
-            e1 = zdivexact(list(d1), g)
-            e2 = zdivexact(list(d2), g)
+            g, e1, e2 = zgcd_split(list(d1), list(d2))
         nn = zadd(
             zscale(zmul(list(n1), e2), a1 * (bb // b1)),
             zscale(zmul(list(n2), e1), a2 * (bb // b2)),
         )
         if not nn:
             return RF_ZERO
-        w = zgcd(nn, g)
-        if len(w) > 1:
-            nn = zdivexact(nn, w)
-            g = zdivexact(g, w)
+        _, nn, g = zgcd_split(nn, g)
         ct, nn = zprim(nn)
         dd = zmul(zmul(g, e1), e2)
         return RatFunc(Fraction(ct, bb), tuple(nn), tuple(dd))
@@ -500,15 +501,9 @@ class RatFunc:
         n1, d1, n2, d2 = self.np, self.dp, other.np, other.dp
         c = self.c * other.c
         if d2 != (1,) and n1 != (1,):
-            w = zgcd(list(n1), list(d2))
-            if len(w) > 1:
-                n1 = zdivexact(list(n1), w)
-                d2 = zdivexact(list(d2), w)
+            _, n1, d2 = zgcd_split(list(n1), list(d2))
         if d1 != (1,) and n2 != (1,):
-            w = zgcd(list(n2), list(d1))
-            if len(w) > 1:
-                n2 = zdivexact(list(n2), w)
-                d1 = zdivexact(list(d1), w)
+            _, n2, d1 = zgcd_split(list(n2), list(d1))
         return RatFunc(c, tuple(zmul(list(n1), list(n2))), tuple(zmul(list(d1), list(d2))))
 
     def inverse(self):

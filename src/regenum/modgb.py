@@ -23,15 +23,15 @@ from dataclasses import dataclass
 from .exactnum import RF_ONE, RatFunc
 from .polyring import (
     exp_mul,
-    MonomialOrder,
     MPoly,
+    add_term,
     exp_div,
     exp_divides,
     grevlex_key,
     leading_term,
     module_key,
 )
-from .weyl import DLeftForm, WeylOp, to_dleft
+from .weyl import WeylOp, from_dleft, to_dleft
 
 
 class ModuleElem:
@@ -96,12 +96,7 @@ class ModuleElem:
     def __sub__(self, other):
         eta0 = dict(self.eta0)
         for b, m in other.eta0.items():
-            cur = eta0.get(b)
-            new = (cur - m) if cur is not None else -m
-            if new.is_zero():
-                eta0.pop(b, None)
-            else:
-                eta0[b] = new
+            add_term(eta0, b, -m)
         return ModuleElem(self.k, self.eta1 - other.eta1, eta0)
 
     def __repr__(self):
@@ -120,8 +115,8 @@ def eta_embed(a: WeylOp) -> ModuleElem:
     """Split the d-left form of an operator into eta1 / eta0 coordinates."""
     dl = to_dleft(a)
     z = (0,) * a.k
-    eta1 = dl.parts.get(z, MPoly(a.k))
-    eta0 = {b: m for b, m in dl.parts.items() if b != z}
+    eta1 = dl.get(z, MPoly(a.k))
+    eta0 = {b: m for b, m in dl.items() if b != z}
     return ModuleElem(a.k, eta1, eta0)
 
 
@@ -129,7 +124,7 @@ def module_to_weyl(elem: ModuleElem) -> WeylOp:
     """Set eta1 = eta0 = 1: back to the operator sum Q + sum d^beta c_beta."""
     out = WeylOp.from_mpoly(elem.eta1)
     if elem.eta0:
-        out = out + DLeftForm(elem.k, dict(elem.eta0)).to_weyl()
+        out = out + from_dleft(elem.k, elem.eta0)
     return out
 
 
@@ -309,7 +304,6 @@ class Reducer:
 
     g: WeylOp
     q: MPoly
-    r: WeylOp
     m: tuple
     c: RatFunc
 
@@ -323,11 +317,8 @@ def extract_reducers(gb) -> list:
     for elem in gb:
         if elem.eta1.is_zero():
             continue
-        q = elem.eta1
-        r = DLeftForm(elem.k, dict(elem.eta0)).to_weyl() if elem.eta0 else WeylOp(elem.k)
-        g = WeylOp.from_mpoly(q) + r
-        m, c = leading_term(q, MonomialOrder.GRADED_P)
-        out.append(Reducer(g=g, q=q, r=r, m=m, c=c))
+        m, c = leading_term(elem.eta1)
+        out.append(Reducer(g=module_to_weyl(elem), q=elem.eta1, m=m, c=c))
     if not out:
         raise ValueError("no candidate reducers: no basis element involves eta1")
     return out

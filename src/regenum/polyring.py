@@ -1,34 +1,28 @@
-"""Multivariate polynomials in p_1..p_k over Q(t), monomial orderings, and
-the stairs machinery for zero-dimensional monomial ideals.
+"""Sparse term maps over Q(t): multivariate polynomials in p_1..p_k, the
+monomial orders as key functions, and the stairs machinery for
+zero-dimensional monomial ideals.
 
-Monomials are exponent tuples of fixed length k.  Three orderings are used
-downstream:
+Monomials are exponent tuples of fixed length k.  Three key functions
+order them; larger keys are larger monomials:
 
-* ``GRADED_P``  - total degree on the p_i, ties by grevlex with the
+* ``grevlex_key`` - on p-exponents: total degree, ties by grevlex with the
   precedence p_k > ... > p_1, so high-index variables are eliminated first
   and reduced normal forms concentrate on p_1, p_2, ...;
-* ``ELIM_P_OVER_D`` - on pairs (alpha, beta) of p- and d-exponents: the
-  p-part decides first (so every p_i sits lexicographically above every
-  power product of the d_j), with the d-part compared by graded grevlex;
-* ``MODULE`` - on (position, p-exponent) pairs for the free module with
+* ``pd_key`` - on pairs (alpha, beta) of p- and d-exponents: the p-part
+  decides first (so every p_i sits lexicographically above every power
+  product of the d_j), with the d-part compared by ``grevlex_key``;
+* ``module_key`` - on (position, p-exponent) pairs for the free module with
   basis eta1 and the d^beta eta0: eta1 above everything, eta0 positions by
-  graded grevlex on beta, ties within a position by GRADED_P.
+  ``grevlex_key`` on beta, ties within a position by ``grevlex_key``.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from itertools import product
 
 from .exactnum import RF_ONE, RF_ZERO, Fraction, RatFunc, rf
 
 Exponent = tuple  # tuple[int, ...] of fixed length k
-
-
-class MonomialOrder(Enum):
-    GRADED_P = "graded_p"
-    ELIM_P_OVER_D = "elim_p_over_d"
-    MODULE = "module"
 
 
 def grevlex_key(e: Exponent):
@@ -51,23 +45,6 @@ def module_key(m):
     return (pk, grevlex_key(e))
 
 
-_KEYS = {
-    MonomialOrder.GRADED_P: grevlex_key,
-    MonomialOrder.ELIM_P_OVER_D: pd_key,
-    MonomialOrder.MODULE: module_key,
-}
-
-
-def order_key(order: MonomialOrder):
-    return _KEYS[order]
-
-
-def order_cmp(m1, m2, order: MonomialOrder) -> int:
-    """-1, 0, or 1 as m1 <, =, > m2 under the given order."""
-    k1, k2 = _KEYS[order](m1), _KEYS[order](m2)
-    return (k1 > k2) - (k1 < k2)
-
-
 def exp_mul(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -80,12 +57,22 @@ def exp_div(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x - y for x, y in zip(a, b))
 
 
-class MPoly:
-    """Sparse polynomial in p_1..p_k over Q(t): a map exponent -> RatFunc.
+def add_term(out: dict, key, c):
+    """Add c into out[key], dropping the key when the sum is zero."""
+    s = out.get(key)
+    s = c if s is None else s + c
+    if s:
+        out[key] = s
+    elif key in out:
+        del out[key]
 
-    Zero coefficients are never stored; the zero polynomial is the empty
-    map.  Instances are treated as immutable.  The weight convention
-    (p_i carries weight i) is exposed for the series oracles.
+
+class SparseTerms:
+    """The linear part shared by MPoly and WeylOp: a map from monomials to
+    non-zero coefficients in ambient dimension k.
+
+    Zero coefficients are never stored; zero is the empty map.  Instances
+    are treated as immutable, and results keep the operand's class.
     """
 
     __slots__ = ("k", "terms")
@@ -95,7 +82,55 @@ class MPoly:
         if terms is None:
             self.terms = {}
         else:
-            self.terms = {e: c for e, c in terms.items() if c}
+            self.terms = {m: c for m, c in terms.items() if c}
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self.k == other.k and self.terms == other.terms
+        return NotImplemented
+
+    def _check(self, other):
+        if self.k != other.k:
+            raise ValueError("ambient dimension mismatch")
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            add_term(out, m, c)
+        return type(self)(self.k, out)
+
+    def __sub__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            add_term(out, m, -c)
+        return type(self)(self.k, out)
+
+    def __neg__(self):
+        return type(self)(self.k, {m: -c for m, c in self.terms.items()})
+
+    def scale(self, c):
+        c = rf(c)
+        if not c:
+            return type(self)(self.k)
+        return type(self)(self.k, {m: x * c for m, x in self.terms.items()})
+
+
+class MPoly(SparseTerms):
+    """Sparse polynomial in p_1..p_k over Q(t): a map exponent -> RatFunc.
+
+    The weight convention (p_i carries weight i) is exposed for the series
+    oracles.
+    """
+
+    __slots__ = ()
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -116,72 +151,18 @@ class MPoly:
         return cls(k, {tuple(exp): c} if c else {})
 
     # -- structure ----------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, MPoly):
-            return self.k == other.k and self.terms == other.terms
-        return NotImplemented
-
     def coeff(self, exp) -> RatFunc:
         return self.terms.get(tuple(exp), RF_ZERO)
 
     # -- arithmetic ---------------------------------------------------
-    def _check(self, other):
-        if self.k != other.k:
-            raise ValueError("ambient dimension mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return MPoly(self.k, out)
-
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = -c if s is None else s - c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return MPoly(self.k, out)
-
-    def __neg__(self):
-        return MPoly(self.k, {e: -c for e, c in self.terms.items()})
-
     def __mul__(self, other):
         self._check(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
+                add_term(out, e, c1 * c2)
         return MPoly(self.k, out)
-
-    def scale(self, c) -> "MPoly":
-        c = rf(c)
-        if not c:
-            return MPoly(self.k)
-        return MPoly(self.k, {e: x * c for e, x in self.terms.items()})
 
     def scale_rat(self, x) -> "MPoly":
         x = Fraction(x)
@@ -217,19 +198,19 @@ class MPoly:
         return f"MPoly({self})"
 
 
-def leading_term(a: MPoly, order: MonomialOrder = MonomialOrder.GRADED_P):
-    """Maximal monomial with its coefficient; error on the zero polynomial."""
+def leading_term(a: MPoly):
+    """Maximal monomial under ``grevlex_key`` with its coefficient; error on
+    the zero polynomial."""
     if a.is_zero():
         raise ValueError("leading term of zero polynomial")
-    key = order_key(order)
-    e = max(a.terms, key=key)
+    e = max(a.terms, key=grevlex_key)
     return e, a.terms[e]
 
 
 def stairs_and_dim(lead_monomials):
     """Monomials under the stairs of the monomial ideal, or None.
 
-    Returns the complete ascending (GRADED_P) list of monomials divisible
+    Returns the complete list, ascending under ``grevlex_key``, of monomials divisible
     by no input monomial when the ideal is zero-dimensional, and None when
     some variable has no pure power among the leading monomials (positive
     dimension).

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _igcd
 
-from .exactnum import UP_ONE, UniPoly, zcontent, zderiv, zdivexact, zeval, zgcd
+from .exactnum import UP_ONE, UniPoly, zcontent, zderiv, zeval, zgcd_split
 
 
 class SequenceError(Exception):
@@ -402,9 +402,7 @@ def nonneg_integer_roots(p: UniPoly):
         cs = cs[v:]
     if len(cs) == 1:
         return sorted(roots)
-    sf = zgcd(cs, zderiv(cs))
-    if len(sf) > 1:
-        cs = zdivexact(cs, sf)
+    _, cs, _ = zgcd_split(cs, zderiv(cs))
     chain = _sturm_chain(cs)
     bound = 1 + max(abs(c) for c in cs) // abs(cs[-1]) + 1
 

@@ -19,10 +19,10 @@ import time
 from dataclasses import dataclass, field
 from math import gcd as _igcd
 
-from .exactnum import RatFunc, UniPoly, zcontent, zdivexact, zgcd, zmul, zneg, zscale, zsub
+from .exactnum import RatFunc, UniPoly, zcontent, zdivexact, zgcd, zgcd_split, zmul, zneg, zscale, zsub
 from .models import ModelSpec, build_g, build_generators
 from .modgb import eta_embed, extract_reducers, is_dominant, module_buchberger
-from .polyring import MonomialOrder, MPoly, exp_div, exp_divides, grevlex_key, stairs_and_dim
+from .polyring import MPoly, exp_div, exp_divides, grevlex_key, stairs_and_dim
 from .seqtools import ODE
 from .weyl import apply_op
 
@@ -52,7 +52,6 @@ class FailDominance(PipelineFailure):
 class ReductionBasis:
     reducers: list
     stairs: list
-    order: MonomialOrder = MonomialOrder.GRADED_P
 
 
 def reduction_basis(reducers) -> ReductionBasis:
@@ -142,8 +141,8 @@ class KernelAccumulator:
         for c in coords:
             if not c.is_zero():
                 extra = zscale(list(c.dp), c.c.denominator)
-                g = zgcd(den, extra)
-                den = zdivexact(zmul(den, extra), g)
+                _, _, extra = zgcd_split(den, extra)
+                den = zmul(den, extra)
         row = []
         for c in coords:
             if c.is_zero():

@@ -17,28 +17,21 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .exactnum import RF_ONE, RF_T, RF_ZERO, rf
-from .polyring import MPoly, pd_key
+from .polyring import MPoly, SparseTerms, add_term, pd_key
 
 
 def _ordkey(term):
     return pd_key(term[0])
 
 
-class WeylOp:
+class WeylOp(SparseTerms):
     """Skew polynomial in coefficient-left normal form.
 
     ``terms`` maps pairs (alpha, beta) of exponent tuples to RatFunc
     coefficients; zero coefficients are never stored.
     """
 
-    __slots__ = ("k", "terms")
-
-    def __init__(self, k: int, terms=None):
-        self.k = k
-        if terms is None:
-            self.terms = {}
-        else:
-            self.terms = {m: c for m, c in terms.items() if c}
+    __slots__ = ()
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -63,47 +56,6 @@ class WeylOp:
     def from_mpoly(cls, m: MPoly):
         z = (0,) * m.k
         return cls(m.k, {(e, z): c for e, c in m.terms.items()})
-
-    # -- structure ----------------------------------------------------
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, WeylOp):
-            return self.k == other.k and self.terms == other.terms
-        return NotImplemented
-
-    def _check(self, other):
-        if self.k != other.k:
-            raise ValueError("ambient dimension mismatch")
-
-    # -- linear operations ---------------------------------------------
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-        return WeylOp(self.k, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return WeylOp(self.k, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, c) -> "WeylOp":
-        c = rf(c)
-        if not c:
-            return WeylOp(self.k)
-        return WeylOp(self.k, {m: x * c for m, x in self.terms.items()})
 
     # -- multiplication -------------------------------------------------
     def __mul__(self, other):
@@ -168,25 +120,14 @@ def weyl_mul(a: WeylOp, b: WeylOp) -> WeylOp:
             if not any(min(x, y) for x, y in zip(b1, a2)):
                 # no variable overlap: plain exponent addition
                 m = (tuple(x + y for x, y in zip(a1, a2)), tuple(x + y for x, y in zip(b1, b2)))
-                s = out.get(m)
-                s = c if s is None else s + c
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
+                add_term(out, m, c)
                 continue
             for nu, w in _commute_weights(b1, a2):
                 m = (
                     tuple(x + y - n for x, y, n in zip(a1, a2, nu)),
                     tuple(x + y - n for x, y, n in zip(b1, b2, nu)),
                 )
-                cw = c.scale_rat(w)
-                s = out.get(m)
-                s = cw if s is None else s + cw
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
+                add_term(out, m, c.scale_rat(w))
     return WeylOp(a.k, out)
 
 
@@ -223,56 +164,32 @@ def apply_op(a: WeylOp, s: MPoly) -> MPoly:
             if not w:
                 continue
             m = tuple(x + y - z for x, y, z in zip(alpha, e, beta))
-            cw = (c * cs).scale_rat(w) if w != 1 else c * cs
-            t = out.get(m)
-            t = cw if t is None else t + cw
-            if t:
-                out[m] = t
-            elif m in out:
-                del out[m]
+            add_term(out, m, (c * cs).scale_rat(w) if w != 1 else c * cs)
     return MPoly(a.k, out)
 
 
-class DLeftForm:
-    """The rewriting sum_beta d^beta c_beta(p) of an operator."""
-
-    __slots__ = ("k", "parts")
-
-    def __init__(self, k: int, parts=None):
-        self.k = k
-        self.parts = {b: m for b, m in (parts or {}).items() if not m.is_zero()}
-
-    def __eq__(self, other):
-        if isinstance(other, DLeftForm):
-            return self.k == other.k and self.parts == other.parts
-        return NotImplemented
-
-    def to_weyl(self) -> WeylOp:
-        """Back to coefficient-left normal form (round-trips exactly)."""
-        out = WeylOp(self.k)
-        z = (0,) * self.k
-        for beta, m in self.parts.items():
-            expanded = {}
-            for gamma, c in m.terms.items():
-                for nu, w in _commute_weights(beta, gamma):
-                    mon = (
-                        tuple(g - n for g, n in zip(gamma, nu)),
-                        tuple(b - n for b, n in zip(beta, nu)),
-                    )
-                    cw = c.scale_rat(w)
-                    s = expanded.get(mon)
-                    s = cw if s is None else s + cw
-                    if s:
-                        expanded[mon] = s
-                    elif mon in expanded:
-                        del expanded[mon]
-            out = out + WeylOp(self.k, expanded)
-        return out
+def from_dleft(k: int, parts) -> WeylOp:
+    """The operator sum_beta d^beta parts[beta](p), back in
+    coefficient-left normal form (round-trips ``to_dleft`` exactly)."""
+    out = WeylOp(k)
+    for beta, m in parts.items():
+        expanded = {}
+        for gamma, c in m.terms.items():
+            for nu, w in _commute_weights(beta, gamma):
+                mon = (
+                    tuple(g - n for g, n in zip(gamma, nu)),
+                    tuple(b - n for b, n in zip(beta, nu)),
+                )
+                add_term(expanded, mon, c.scale_rat(w))
+        out = out + WeylOp(k, expanded)
+    return out
 
 
-def to_dleft(a: WeylOp) -> DLeftForm:
-    """Move all derivations to the left using
+def to_dleft(a: WeylOp) -> dict:
+    """The d-left form {beta: c_beta} of a = sum_beta d^beta c_beta(p), by
+    moving all derivations to the left using
     p^alpha d^beta = sum_nu (-1)^|nu| C(alpha,nu) C(beta,nu) nu! d^(beta-nu) p^(alpha-nu).
+    Only non-zero c_beta are kept.
     """
     parts = {}
     for (alpha, beta), c in a.terms.items():
@@ -281,15 +198,8 @@ def to_dleft(a: WeylOp) -> DLeftForm:
                 w = -w
             b2 = tuple(x - n for x, n in zip(beta, nu))
             a2 = tuple(x - n for x, n in zip(alpha, nu))
-            bucket = parts.setdefault(b2, {})
-            cw = c.scale_rat(w)
-            s = bucket.get(a2)
-            s = cw if s is None else s + cw
-            if s:
-                bucket[a2] = s
-            elif a2 in bucket:
-                del bucket[a2]
-    return DLeftForm(a.k, {b: MPoly(a.k, m) for b, m in parts.items()})
+            add_term(parts.setdefault(b2, {}), a2, c.scale_rat(w))
+    return {b: MPoly(a.k, m) for b, m in parts.items() if m}
 
 
 def right_mul_poly(a: WeylOp, q: MPoly) -> WeylOp:
@@ -298,8 +208,7 @@ def right_mul_poly(a: WeylOp, q: MPoly) -> WeylOp:
     In d-left form this is coefficient-wise commutative multiplication,
     which is the fast path the right-module structure relies on.
     """
-    dl = to_dleft(a)
-    return DLeftForm(a.k, {b: m * q for b, m in dl.parts.items()}).to_weyl()
+    return from_dleft(a.k, {b: m * q for b, m in to_dleft(a).items()})
 
 
 def twist(a: WeylOp, g: MPoly) -> WeylOp:

@@ -20,7 +20,7 @@ from regenum.models import build_g, parse_model
 from regenum.oracle import graph_count_dp, pairing_tseries, scalar_series, trunc_pairing
 from regenum.seqtools import ODE, indicial_check, ode_to_rec, rec_counts, unroll
 from regenum.telescope import FailDominance, red, reduction_basis, replay, run_pipeline
-from regenum.weyl import WeylOp, adjoint, apply_op, parse_op, weyl_mul
+from regenum.weyl import adjoint, apply_op, parse_op, weyl_mul
 
 from conftest import pipeline, rand_mpoly, rand_weylop
 
@@ -245,7 +245,6 @@ class TestCriterion6Properties:
         bad = Reducer(
             g=parse_op("p1 + p2^2", 2),
             q=parse_op("p1 + p2^2", 2).poly_part(),
-            r=WeylOp(2),
             m=(1, 0),
             c=RatFunc.from_rat(1),
         )

@@ -32,6 +32,18 @@ class TestExitCodes:
             run_cli("se,ll,{2}", "--jobs", "2")
         assert exc.value.code == 64
 
+    def test_usage_negative_max_oracle_n(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("se,ll,{3}", "--check", "--max-oracle-n", "-1")
+        assert exc.value.code == 64
+
+    def test_usage_unwritable_out(self, tmp_path):
+        path = tmp_path / "missing" / "x"
+        code, out, err = run_cli("se,ll,{2}", "--out", str(path))
+        assert code == 64 and out == ""
+        assert f"solve: error: cannot write {path}: " in err
+        assert not path.parent.exists()
+
     def test_usage_two_models(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("se,ll,{2}", "--model", "se,ll,{3}")

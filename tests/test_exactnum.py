@@ -3,7 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from regenum.exactnum import RF_ONE, RatFunc, UniPoly, rf, unipoly_gcd_content
+from regenum.exactnum import (
+    RF_ONE,
+    RatFunc,
+    UniPoly,
+    rf,
+    unipoly_gcd_content,
+    zdivexact,
+    zgcd,
+    zgcd_split,
+    zmul,
+)
 
 from conftest import rand_rat, rand_ratfunc, rand_unipoly
 
@@ -159,3 +169,30 @@ class TestUniPoly:
         assert total == up(1, 3)
         assert all(type(c) is int for c in total.coeffs)
         assert (half - half).is_zero()
+
+
+class TestZgcdSplit:
+    def check(self, a, b):
+        g, ca, cb = zgcd_split(list(a), list(b))
+        assert g == zgcd(a, b)
+        assert list(ca) == zdivexact(a, g) and list(cb) == zdivexact(b, g)
+        return g, list(ca), list(cb)
+
+    def test_random_pairs(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            common, fa, fb = (list(rand_unipoly(rng).coeffs) or [1] for _ in range(3))
+            a, b = zmul(common, fa), zmul(common, fb)
+            g, ca, cb = self.check(a, b)
+            assert zmul(g, ca) == a and zmul(g, cb) == b
+
+    def test_coprime_returns_operands(self):
+        assert self.check([1, 1], [2, 1]) == ([1], [1, 1], [2, 1])
+
+    def test_constant_gcd_above_one(self):
+        # 2 + 4t and 2(1 + t)(2 + t) share only the content 2
+        assert self.check([2, 4], [4, 6, 2]) == ([2], [1, 2], [2, 3, 1])
+
+    def test_zero_operand(self):
+        assert self.check([], [-4, -8]) == ([1, 2], [], [-4])
+        assert self.check([3, 3], []) == ([1, 1], [3], [])

@@ -101,6 +101,14 @@ class TestExtract:
         for r in res.reducers:
             assert not r.q.is_zero()
 
+    def test_reducer_is_module_to_weyl(self):
+        gb = pipeline("se,ll,{4}").gb
+        elems = [e for e in gb if not e.eta1.is_zero()]
+        reducers = extract_reducers(gb)
+        assert len(reducers) == len(elems)
+        for r, elem in zip(reducers, elems):
+            assert r.g == module_to_weyl(elem)
+
     def test_no_candidates_error(self):
         elem = ModuleElem(2, MPoly(2), {(1, 0): poly("p1", 2)})
         with pytest.raises(ValueError):
@@ -110,23 +118,23 @@ class TestExtract:
 class TestDominance:
     def test_affine_tail(self):
         g = parse_op("p4 + t - 1 + 4*d4", 4)
-        r = Reducer(g=g, q=poly("p4 + t - 1", 4), r=parse_op("4*d4", 4), m=(0, 0, 0, 1), c=RF_ONE)
+        r = Reducer(g=g, q=poly("p4 + t - 1", 4), m=(0, 0, 0, 1), c=RF_ONE)
         assert is_dominant(r)
 
     def test_degree_raising_tail_rejected(self):
         g = parse_op("p1 + p2^2", 2)
-        r = Reducer(g=g, q=poly("p1 + p2^2", 2), r=WeylOp(2), m=(1, 0), c=RF_ONE)
+        r = Reducer(g=g, q=poly("p1 + p2^2", 2), m=(1, 0), c=RF_ONE)
         assert not is_dominant(r)
 
     def test_equal_weight_larger_monomial_rejected(self):
         # tail p3 has the same weight as the head p1 but sits above it
         g = parse_op("p1 + p3", 3)
-        r = Reducer(g=g, q=poly("p1 + p3", 3), r=WeylOp(3), m=(1, 0, 0), c=RF_ONE)
+        r = Reducer(g=g, q=poly("p1 + p3", 3), m=(1, 0, 0), c=RF_ONE)
         assert not is_dominant(r)
 
     def test_equal_weight_smaller_monomial_accepted(self):
         g = parse_op("p3 - t*p1 - 3*d3", 3)
-        r = Reducer(g=g, q=poly("p3 - t*p1", 3), r=parse_op("-3*d3", 3), m=(0, 0, 1), c=RF_ONE)
+        r = Reducer(g=g, q=poly("p3 - t*p1", 3), m=(0, 0, 1), c=RF_ONE)
         assert is_dominant(r)
 
     @pytest.mark.parametrize("ms", ["se,ll,{2}", "se,ll,{3}", "se,ll,{4}", "se,ll,{5}"])

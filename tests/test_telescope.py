@@ -17,7 +17,7 @@ from regenum.telescope import (
     reduction_basis,
     replay,
 )
-from regenum.weyl import WeylOp, parse_op
+from regenum.weyl import parse_op
 
 from conftest import pipeline, rand_mpoly
 
@@ -181,14 +181,14 @@ class TestPipeline:
 class TestFailures:
     def test_positive_dimension(self):
         g = parse_op("p1*p2", 2)
-        r = Reducer(g=g, q=poly("p1*p2", 2), r=WeylOp(2), m=(1, 1), c=rf(1))
+        r = Reducer(g=g, q=poly("p1*p2", 2), m=(1, 1), c=rf(1))
         with pytest.raises(FailPositiveDim) as exc:
             reduction_basis([r])
         assert exc.value.code == "FAIL"
 
     def test_dominance_failure(self):
         g = parse_op("p1 + p2^2", 2)
-        r = Reducer(g=g, q=poly("p1 + p2^2", 2), r=WeylOp(2), m=(1, 0), c=rf(1))
+        r = Reducer(g=g, q=poly("p1 + p2^2", 2), m=(1, 0), c=rf(1))
         with pytest.raises(FailDominance) as exc:
             reduction_basis([r])
         assert exc.value.code == "FAIL-DOMINANCE"

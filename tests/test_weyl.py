@@ -9,6 +9,7 @@ from regenum.weyl import (
     WeylOp,
     adjoint,
     apply_op,
+    from_dleft,
     op_to_str,
     parse_op,
     right_mul_poly,
@@ -126,25 +127,25 @@ class TestRightMul:
 class TestDLeft:
     def test_simple(self):
         dl = to_dleft(op("p1*d1", 1))
-        assert dl.parts[(1,)] == MPoly.gen(1, 0)
-        assert dl.parts[(0,)] == MPoly.const(1, -1)
+        assert dl[(1,)] == MPoly.gen(1, 0)
+        assert dl[(0,)] == MPoly.const(1, -1)
 
     def test_twist_p4(self):
         m = parse_model("se,ll,{4}")
         dl = to_dleft(twist(untwisted_generators(m)[3], build_g(m)))
-        assert set(dl.parts) == {(0, 0, 0, 0), (0, 0, 0, 1)}
-        assert dl.parts[(0, 0, 0, 1)] == MPoly.const(4, 4)
-        assert dl.parts[(0, 0, 0, 0)] == parse_poly("p4 + t - 1", 4)
+        assert set(dl) == {(0, 0, 0, 0), (0, 0, 0, 1)}
+        assert dl[(0, 0, 0, 1)] == MPoly.const(4, 4)
+        assert dl[(0, 0, 0, 0)] == parse_poly("p4 + t - 1", 4)
 
     def test_pure_polynomial(self):
         s = op("p1^2 + 3*p2", 2)
         dl = to_dleft(s)
-        assert set(dl.parts) == {(0, 0)}
+        assert set(dl) == {(0, 0)}
 
     def test_round_trip_random(self, rng):
         for _ in range(200):
             a = rand_weylop(rng, 3)
-            assert to_dleft(a).to_weyl() == a
+            assert from_dleft(3, to_dleft(a)) == a
 
 
 class TestTextSyntax:
