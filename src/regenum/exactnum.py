@@ -5,9 +5,10 @@ Python's ``int`` supplies the arbitrary-precision integers and
 ``fractions.Fraction`` the rationals.  The polynomial layer is our own
 because the rest of the pipeline needs tight control over normalization
 (primitive parts, canonical denominators) and over where gcds happen:
-every gcd in the hot paths runs on primitive integer polynomials via a
-primitive pseudo-remainder sequence, never on floating point and never
-through modular images.
+every gcd in the hot paths runs on primitive integer polynomials, never
+on floating point.  Gcds use an evaluation heuristic whose result is
+accepted only after it divides both operands exactly; when it gives up,
+a primitive pseudo-remainder sequence computes the gcd.
 
 All values are immutable after construction; operations are pure.
 """
@@ -120,27 +121,90 @@ def zprem(a, b):
     return r
 
 
-def zgcd(a, b):
-    """Gcd in Z[t] (contents included), positive leading coefficient.
+#: Evaluation points tried by ``_heu_gcd`` before it gives up.
+_HEU_TRIES = 6
 
-    Primitive PRS: content is stripped after every pseudo-remainder, which
-    keeps intermediate coefficients minimal; integer gcds are cheap next to
-    carrying subresultant-sized coefficients through the eliminations.
+_fallbacks = 0
+
+
+def gcd_fallbacks() -> int:
+    """How many ``zgcd`` calls in this process fell back to the PRS."""
+    return _fallbacks
+
+
+def zgcd(a, b):
+    """Gcd in Z[t] (contents included), positive leading coefficient;
+    ``zgcd([], b)`` is b itself with a positive leading coefficient.
+
+    The primitive parts go through a heuristic gcd (GCDHEU: Char, Geddes
+    and Gonnet, J. Symbolic Comput. 7, 1989) and, only when that gives
+    up, through a primitive pseudo-remainder sequence.
     """
-    if not a:
-        return zprim(b)[1] if b else []
-    if not b:
-        return zprim(a)[1]
+    global _fallbacks
+    if not a or not b:
+        c = list(a or b)
+        return zneg(c) if c and c[-1] < 0 else c
     ca, pa = zprim(a)
     cb, pb = zprim(b)
     gc = _igcd(ca, cb)
+    if len(pa) == 1 or len(pb) == 1:
+        return [gc]
+    g = _heu_gcd(pa, pb)
+    if g is None:
+        _fallbacks += 1
+        g = _prs_gcd(pa, pb)
+    if gc != 1:
+        g = [c * gc for c in g]
+    return g
+
+
+def _heu_gcd(pa, pb):
+    """Gcd of two non-constant primitive polynomials with positive leading
+    coefficients, or None when no evaluation point certified one.
+
+    gamma = igcd(pa(xi), pb(xi)) is lifted to a polynomial by its balanced
+    base-xi digits, and the primitive part h of that lift is accepted only
+    if it divides both pa and pb exactly.  That test proves h is the gcd
+    only while xi >= 2*min(|pa|, |pb|) + 2 in the max norm (Geddes, Czapor
+    and Labahn, Algorithms for Computer Algebra, Thm 7.7), so xi starts
+    above that bound and only ever grows.  h == [1] divides everything
+    and is accepted as it is.
+    """
+    xi = 2 * min(max(map(abs, pa)), max(map(abs, pb))) + 29
+    for _ in range(_HEU_TRIES):
+        gamma = _igcd(zeval(pa, xi), zeval(pb, xi))
+        half = xi // 2
+        h = []
+        while gamma:
+            gamma, d = divmod(gamma, xi)
+            if d > half:
+                d -= xi
+                gamma += 1
+            h.append(d)
+        h = zprim(h)[1]
+        if h == [1]:
+            return h
+        if (len(h) <= min(len(pa), len(pb))
+                and not pa[-1] % h[-1] and not pb[-1] % h[-1]):
+            try:
+                zdivexact(pa, h)
+                zdivexact(pb, h)
+                return h
+            except ArithmeticError:
+                pass
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _prs_gcd(pa, pb):
+    """Gcd of two primitive polynomials with positive leading coefficients
+    by a primitive PRS: content is stripped after every pseudo-remainder,
+    which keeps intermediate coefficients minimal."""
     if len(pa) < len(pb):
         pa, pb = pb, pa
     while pb:
         r = zprem(pa, pb)
         pa, pb = pb, zprim(r)[1]
-    if gc != 1:
-        pa = [c * gc for c in pa]
     return pa
 
 

@@ -1,18 +1,23 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from regenum import exactnum
 from regenum.exactnum import (
     RF_ONE,
     RatFunc,
     UniPoly,
+    _prs_gcd,
+    gcd_fallbacks,
     rf,
     unipoly_gcd_content,
     zdivexact,
     zgcd,
     zgcd_split,
     zmul,
+    zprim,
 )
 
 from conftest import rand_rat, rand_ratfunc, rand_unipoly
@@ -194,5 +199,78 @@ class TestZgcdSplit:
         assert self.check([2, 4], [4, 6, 2]) == ([2], [1, 2], [2, 3, 1])
 
     def test_zero_operand(self):
-        assert self.check([], [-4, -8]) == ([1, 2], [], [-4])
-        assert self.check([3, 3], []) == ([1, 1], [3], [])
+        assert self.check([], [-4, -8]) == ([4, 8], [], [-1])
+        assert self.check([3, 3], []) == ([3, 3], [1], [])
+        assert zgcd([], []) == []
+
+
+def rand_zpoly(rng, deg, bits):
+    cs = [rng.randint(-2**bits, 2**bits) for _ in range(deg + 1)]
+    cs[-1] = cs[-1] or 1
+    return cs
+
+
+def prs_gcd(a, b):
+    """Reference: content gcd times the PRS gcd of the primitive parts."""
+    ca, pa = zprim(a)
+    cb, pb = zprim(b)
+    return [c * math.gcd(ca, cb) for c in _prs_gcd(pa, pb)]
+
+
+def coprime_mod(f, g, p):
+    """Euclid over GF(p); with p dividing neither leading coefficient, a
+    unit gcd mod p proves f and g share no non-constant factor over Z."""
+    f, g = [c % p for c in f], [c % p for c in g]
+    while g:
+        while len(f) >= len(g):
+            q = f[-1] * pow(g[-1], -1, p) % p
+            shift = len(f) - len(g)
+            for i, c in enumerate(g):
+                f[shift + i] = (f[shift + i] - q * c) % p
+            while f and not f[-1]:
+                f.pop()
+            if not f:
+                break
+        f, g = g, f
+    return len(f) == 1
+
+
+class TestZgcdHeuristic:
+    def test_random_pairs_against_prs(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            bits = rng.choice((3, 20, 120))
+            common = rand_zpoly(rng, rng.randint(0, 4), bits)
+            a = zmul(common, rand_zpoly(rng, rng.randint(0, 5), bits))
+            b = zmul(common, rand_zpoly(rng, rng.randint(0, 5), bits))
+            sa, sb = rng.choice((1, -1, 2, -12)), rng.choice((1, -3, 6, 60))
+            a, b = [c * sa for c in a], [c * sb for c in b]
+            g = zgcd(a, b)
+            assert g == prs_gcd(a, b)
+            zdivexact(g, zprim(common)[1])
+
+    def test_degree_149_pair(self):
+        # a = g*f1, b = g*f2 with ~120-bit coefficients and coprime f1, f2:
+        # the gcd is exactly the planted degree-24 factor
+        rng = random.Random(149)
+        g = rand_zpoly(rng, 24, 60)
+        g[-1] = abs(g[-1])
+        f1, f2 = rand_zpoly(rng, 125, 60), rand_zpoly(rng, 125, 60)
+        p = 2**61 - 1
+        assert f1[-1] % p and f2[-1] % p and coprime_mod(f1, f2, p)
+        a, b = zmul(g, f1), zmul(g, f2)
+        assert len(a) == len(b) == 150
+        assert max(abs(c) for c in a + b).bit_length() >= 118
+        before = gcd_fallbacks()
+        assert zgcd(a, b) == g
+        assert gcd_fallbacks() == before
+
+    def test_forced_fallback(self, monkeypatch):
+        rng = random.Random(43)
+        common = rand_zpoly(rng, 3, 30)
+        a = zmul(common, rand_zpoly(rng, 4, 30))
+        b = [-6 * c for c in zmul(common, rand_zpoly(rng, 5, 30))]
+        monkeypatch.setattr(exactnum, "_heu_gcd", lambda pa, pb: None)
+        before = gcd_fallbacks()
+        assert zgcd(a, b) == prs_gcd(a, b)
+        assert gcd_fallbacks() == before + 1

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from regenum.exactnum import RatFunc, UniPoly, rf
+from regenum.exactnum import RatFunc, UniPoly, gcd_fallbacks, rf
 from regenum.modgb import Reducer
-from regenum.models import build_g
+from regenum.models import build_g, parse_model
 from regenum.oracle import pairing_tseries, scalar_series
 from regenum.polyring import MPoly
 from regenum.seqtools import ODE
@@ -16,6 +16,7 @@ from regenum.telescope import (
     red,
     reduction_basis,
     replay,
+    run_pipeline,
 )
 from regenum.weyl import parse_op
 
@@ -139,6 +140,12 @@ class TestPipeline:
     @pytest.mark.parametrize("ms,order", [("se,ll,{2}", 1), ("se,ll,{3}", 2), ("se,ll,{4}", 2)])
     def test_small_orders(self, ms, order):
         assert pipeline(ms).ode.order == order
+
+    def test_degree5_derivation_needs_no_gcd_fallback(self):
+        # a fresh run, not the cached one, so its gcds happen here
+        before = gcd_fallbacks()
+        assert run_pipeline(parse_model("se,ll,{5}")).ode.order == 6
+        assert gcd_fallbacks() == before
 
     def test_k2_ode_exact(self):
         # S' * (2t-2) + t^2 S = 0 for 2-regular graphs
