@@ -8,9 +8,13 @@ exactly the Taylor coefficient sequences of the ODE's series solutions.
 Counts recurrences substitute c_n = r_n / n! and clear the factorials with
 falling-factorial polynomials.
 
-Unrolling forces c_0 = 1 and c_n = 0 for n < 0.  A vanishing leading
-coefficient blocks an index; blocked terms become symbols that later
-degenerate instances may pin down (an exact linear solve), and an
+Unrolling forces c_0 = 1 and c_n = 0 for n < 0.  It peels the linear
+factors (n+l) back off the coefficients and evaluates each instance in
+Horner form over them, so a step multiplies the big terms only by small
+integers and by values of the peeled (Taylor-size) coefficients; every
+division in counts mode is still proved exact by divmod.  A vanishing
+leading coefficient blocks an index; blocked terms become symbols that
+later degenerate instances may pin down (an exact linear solve), and an
 unresolved symbol in the requested range is an error.
 """
 
@@ -185,13 +189,11 @@ def rec_counts(rec: Recurrence) -> Recurrence:
     (n+order)(n+order-1)...(n+s+1)."""
     if rec.mode != "taylor":
         raise ValueError("rec_counts expects a taylor-mode recurrence")
-    order = rec.order
-    out = []
-    for s, p in enumerate(rec.coeffs):
-        if p.is_zero():
-            out.append(UniPoly())
-            continue
-        out.append(p * _falling(order, order - s))
+    out = list(rec.coeffs)
+    fall = UP_ONE
+    for s in range(rec.order - 1, -1, -1):
+        fall = fall * UniPoly((s + 1, 1))  # (n+order)...(n+s+1)
+        out[s] = out[s] * fall
     return Recurrence(_normalize_family(out), "counts")
 
 
@@ -208,6 +210,41 @@ def _affine_add(a, b, scale=1):
             a.pop(k, None)
 
 
+def _divide_linear(cs, level):
+    """cs / (n + level) by synthetic division, or None if the remainder is
+    non-zero."""
+    q = [0] * (len(cs) - 1)
+    carry = 0
+    for i in range(len(cs) - 1, 0, -1):
+        carry = cs[i] - level * carry
+        q[i - 1] = carry
+    return q if not cs or cs[0] == level * carry else None
+
+
+def _peel(polys):
+    """Split b_s(n) = a_s(n) * prod (n+l) over the peeled levels l > s.
+
+    Level l = order, ..., 1 is peeled when (n+l) divides each of
+    b_0..b_{l-1} exactly; the factors that rec_counts multiplied in
+    peel off completely.  Returns the quotients a_s and, per shift l,
+    whether level l was peeled.
+    """
+    order = len(polys) - 1
+    quots = list(polys)
+    peeled = [False] * (order + 1)
+    for level in range(order, 0, -1):
+        qs = []
+        for cs in quots[:level]:
+            q = _divide_linear(cs, level)
+            if q is None:
+                break
+            qs.append(q)
+        else:
+            quots[:level] = qs
+            peeled[level] = True
+    return quots, peeled
+
+
 def unroll(rec: Recurrence, init, n_max: int):
     """Iterate the recurrence from the forced initial segment.
 
@@ -215,6 +252,14 @@ def unroll(rec: Recurrence, init, n_max: int):
     leading coefficient vanishes turn the new term into a symbol; later
     degenerate instances are solved for pending symbols, and a symbol
     surviving to the end raises UnderdeterminedError.
+
+    The loop that checks the forced segment and solves unblocked
+    instances evaluates sum_{s<order} b_s(n) c_{n+s} in Horner form over
+    the linear factors peeled off the coefficients (_peel):
+    acc = acc*(n+s) + a_s(n)*c_{n+s}, with multiplier 1 at a level that
+    did not peel.  The sum is the same however far the coefficients
+    peel, and in counts mode every new term is still proved exact by
+    divmod.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -237,15 +282,20 @@ def unroll(rec: Recurrence, init, n_max: int):
                 raise SequenceError(f"non-integer forced value {v} in counts mode")
         values = [v.numerator for v in init]
     zero = 0 if counts else Fraction(0)
+    quots, peeled = _peel(polys)
     # instances inside the forced segment must hold; later ones are solved
     # for their newest term unless some leading coefficient vanishes
     for m in range(n_max + 1):
         n = m - order
         acc = zero
         for j in range(max(-n, 0), order):
+            if peeled[j]:
+                acc *= n + j
             v = values[n + j]
             if v:
-                acc += zeval(polys[j], n) * v
+                acc += zeval(quots[j], n) * v
+        if peeled[order]:
+            acc *= m
         if m < len(init):
             if acc + zeval(leadp, n) * values[m]:
                 raise InconsistentError(

@@ -6,6 +6,7 @@ import pytest
 from regenum.oracle import graph_count_dp
 from regenum.seqtools import (
     IndicialError,
+    InconsistentError,
     ODE,
     Recurrence,
     SequenceError,
@@ -20,13 +21,22 @@ from regenum.seqtools import (
     rec_to_json,
     unroll,
 )
-from regenum.exactnum import UniPoly
+from regenum.seqtools import _falling, _peel
+from regenum.exactnum import UniPoly, zeval
 
 from conftest import pipeline
 
 
 def up(*cs):
     return UniPoly(cs)
+
+
+def assert_satisfies(rec, vals):
+    """Every instance n >= -order whose terms lie in vals holds, with
+    c_n = 0 for n < 0, by direct evaluation."""
+    for n in range(-rec.order, len(vals) - rec.order):
+        total = sum(zeval(b.int_coeffs(), n) * vals[n + s] for s, b in enumerate(rec.coeffs) if n + s >= 0)
+        assert total == 0, n
 
 
 class TestOdeToRec:
@@ -87,6 +97,15 @@ class TestRecCounts:
             for n in range(1, 16, 2):
                 assert vals[n] == 0
 
+    def test_falling_factor_definition(self):
+        for ms in ("se,ll,{4}", "me,la,{2}"):
+            taylor = ode_to_rec(pipeline(ms).ode)
+            order = taylor.order
+            counts = rec_counts(taylor)
+            assert counts.coeffs == tuple(
+                p * _falling(order, order - s) for s, p in enumerate(taylor.coeffs)
+            ), ms
+
     def test_mode_guard(self):
         rec = rec_counts(ode_to_rec(ODE((up(-1), up(1)))))
         with pytest.raises(ValueError):
@@ -144,6 +163,52 @@ class TestUnroll:
         rec = Recurrence((up(-1), up(2, 2)), "counts")
         with pytest.raises(SequenceError):
             unroll(rec, [1], 3)
+
+
+class TestPeel:
+    def test_inverts_rec_counts(self):
+        for ms in ("se,ll,{4}", "se,ll,{5}"):
+            taylor = ode_to_rec(pipeline(ms).ode)
+            quots, peeled = _peel([p.int_coeffs() for p in rec_counts(taylor).coeffs])
+            assert peeled == [False] + [True] * taylor.order, ms
+            assert quots == [p.int_coeffs() for p in taylor.coeffs], ms
+
+    @pytest.mark.parametrize(
+        "coeffs, peeled, head",
+        [
+            # (n+2) r_{n+2} = (3n+5) r_{n+1} + (4n+2) r_n: no level divides;
+            # the central binomial coefficients
+            ((up(-2, -4), up(-5, -3), up(2, 1)), [False, False, False], [1, 2, 6, 20, 70]),
+            # only the top level (n+2) divides
+            ((up(-6, -5, -1), up(-2, -3, -1), up(2, 1)), [False, False, True], [1, 0, 3, 6, 33]),
+            # only (n+1) divides b_0; the central trinomial coefficients
+            ((up(-3, -3), up(-3, -2), up(2, 1)), [False, True, False], [1, 1, 3, 7, 19]),
+        ],
+    )
+    def test_partly_peeled_counts(self, coeffs, peeled, head):
+        rec = Recurrence(coeffs, "counts")
+        assert _peel([p.int_coeffs() for p in coeffs])[1] == peeled
+        vals = unroll(rec, [1], 80)
+        assert vals[:5] == head
+        assert_satisfies(rec, vals)
+
+    def test_rec_counts_output_satisfies_recurrence(self):
+        rec = rec_counts(ode_to_rec(pipeline("se,ll,{4}").ode))
+        vals = unroll(rec, [1], 300)
+        assert vals[300] > 0
+        assert_satisfies(rec, vals)
+
+    def test_errors_on_peeled_recurrences(self):
+        # 2(n+1) c_{n+1} = c_n clears to -(n+1) r_n + 2(n+1) r_{n+1}: the
+        # level peels and r_1 = 1/2 is still refused
+        halves = rec_counts(Recurrence((up(-1), up(2, 2)), "taylor"))
+        assert _peel([p.int_coeffs() for p in halves.coeffs])[1] == [False, True]
+        with pytest.raises(SequenceError, match="non-integer count at n=1"):
+            unroll(halves, [1], 3)
+        exp = rec_counts(ode_to_rec(ODE((up(-1), up(1)))))
+        assert _peel([p.int_coeffs() for p in exp.coeffs])[1] == [False, True]
+        with pytest.raises(InconsistentError):
+            unroll(exp, [1, 5], 3)
 
 
 class TestIndicial:
