@@ -62,6 +62,10 @@ def zneg(a):
 def zmul(a, b):
     if not a or not b:
         return []
+    if len(a) == 1 and a[0] == 1:
+        return list(b)
+    if len(b) == 1 and b[0] == 1:
+        return list(a)
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -537,9 +541,15 @@ class RatFunc:
         a2, b2 = other.c.numerator, other.c.denominator
         bb = b1 * b2 // _igcd(b1, b2)
         if d1 == d2:
-            g, e1, e2 = list(d1), [1], [1]
-        else:
-            g, e1, e2 = zgcd_split(list(d1), list(d2))
+            # one gcd against the shared denominator, none when it is 1
+            nn = zadd(zscale(n1, a1 * (bb // b1)), zscale(n2, a2 * (bb // b2)))
+            if not nn:
+                return RF_ZERO
+            if d1 != (1,):
+                _, nn, d1 = zgcd_split(nn, list(d1))
+            ct, nn = zprim(nn)
+            return RatFunc(Fraction(ct, bb), tuple(nn), tuple(d1))
+        g, e1, e2 = zgcd_split(list(d1), list(d2))
         nn = zadd(
             zscale(zmul(list(n1), e2), a1 * (bb // b1)),
             zscale(zmul(list(n2), e1), a2 * (bb // b2)),
@@ -564,6 +574,10 @@ class RatFunc:
             return RF_ZERO
         n1, d1, n2, d2 = self.np, self.dp, other.np, other.dp
         c = self.c * other.c
+        if n2 == (1,) and d2 == (1,):
+            return RatFunc(c, n1, d1)
+        if n1 == (1,) and d1 == (1,):
+            return RatFunc(c, n2, d2)
         if d2 != (1,) and n1 != (1,):
             _, n1, d2 = zgcd_split(list(n1), list(d2))
         if d1 != (1,) and n2 != (1,):

@@ -19,6 +19,7 @@ polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .exactnum import RF_ONE, RatFunc
 from .polyring import (
@@ -44,6 +45,15 @@ class ModuleElem:
         self.k = k
         self.eta1 = eta1
         self.eta0 = {b: m for b, m in (eta0 or {}).items() if not m.is_zero()}
+
+    @classmethod
+    def _of(cls, k: int, eta1: MPoly, eta0: dict) -> "ModuleElem":
+        """Wrap coordinates with no zero eta0 entry, without the filter."""
+        self = cls.__new__(cls)
+        self.k = k
+        self.eta1 = eta1
+        self.eta0 = eta0
+        return self
 
     def is_zero(self) -> bool:
         return self.eta1.is_zero() and not self.eta0
@@ -84,20 +94,24 @@ class ModuleElem:
         return part.coeff(e) if part is not None else RF_ZERO
 
     def mul_term(self, exp, c: RatFunc) -> "ModuleElem":
-        return ModuleElem(
+        if not c:
+            return ModuleElem(self.k, MPoly(self.k))
+        return ModuleElem._of(
             self.k,
             self.eta1.mul_term(exp, c),
             {b: m.mul_term(exp, c) for b, m in self.eta0.items()},
         )
 
     def scale(self, c: RatFunc) -> "ModuleElem":
-        return ModuleElem(self.k, self.eta1.scale(c), {b: m.scale(c) for b, m in self.eta0.items()})
+        if not c:
+            return ModuleElem(self.k, MPoly(self.k))
+        return ModuleElem._of(self.k, self.eta1.scale(c), {b: m.scale(c) for b, m in self.eta0.items()})
 
     def __sub__(self, other):
         eta0 = dict(self.eta0)
         for b, m in other.eta0.items():
             add_term(eta0, b, -m)
-        return ModuleElem(self.k, self.eta1 - other.eta1, eta0)
+        return ModuleElem._of(self.k, self.eta1 - other.eta1, eta0)
 
     def __repr__(self):
         parts = []
@@ -128,32 +142,63 @@ def module_to_weyl(elem: ModuleElem) -> WeylOp:
     return out
 
 
+def _sweep_key(mon):
+    """Heap key of a module monomial: smaller for larger ``module_key``."""
+    pos, e = mon
+    return ((-1,) if pos is None else (0, -sum(pos), pos)), -sum(e), e
+
+
 def _normal_form(elem, basis, leads, cof=None, basis_cofs=None):
     """Full normal form of elem against monic basis elements.
+
+    Each step cancels the largest reducible monomial with the first basis
+    element whose leading monomial divides it.  One descending sweep does
+    this: a heap hands out the monomials of one mutable term map from the
+    largest down, each step's subtrahend is folded into the map in place,
+    and a monomial found irreducible is never tested again.  Because the
+    basis is monic, every term a step subtracts lies below its target, so
+    the next reducible monomial is always the next one popped.
 
     When cofactor lists are given, cof must hold a generator expression of
     elem on entry; it is updated in place and expresses the result on exit.
     """
-    while True:
-        target = None
-        for mon, c in sorted(elem.monomials(), key=lambda t: module_key(t[0]), reverse=True):
-            pos, e = mon
-            for bi, (bpos, bexp) in enumerate(leads):
-                if bpos == pos and exp_divides(bexp, e):
-                    target = (mon, c, bi, exp_div(e, bexp))
-                    break
-            if target:
+    k = elem.k
+    terms = dict(elem.monomials())
+    seen = set(terms)
+    heap = [(_sweep_key(mon), mon) for mon in terms]
+    heapify(heap)
+    cof_terms = None if cof is None else [dict(c.terms) for c in cof]
+    while heap:
+        mon = heappop(heap)[1]
+        c = terms.get(mon)
+        if c is None:
+            continue
+        pos, e = mon
+        for bi, (bpos, bexp) in enumerate(leads):
+            if bpos == pos and exp_divides(bexp, e):
                 break
-        if target is None:
-            return elem
-        mon, c, bi, shift = target
-        elem = elem - basis[bi].mul_term(shift, c)
+        else:
+            continue
+        shift = exp_div(e, bexp)
+        for m, x in basis[bi].mul_term(shift, c).monomials():
+            if m not in seen:
+                seen.add(m)
+                heappush(heap, (_sweep_key(m), m))
+            add_term(terms, m, -x)
         if cof is not None:
-            q = MPoly.term(elem.k, shift, c)
-            for gi in range(len(cof)):
-                bc = basis_cofs[bi][gi]
-                if not bc.is_zero():
-                    cof[gi] = cof[gi] - bc * q
+            for out, bc in zip(cof_terms, basis_cofs[bi]):
+                for be, x in bc.terms.items():
+                    add_term(out, exp_mul(be, shift), -(x * c))
+    if cof is not None:
+        cof[:] = [MPoly._of(k, t) for t in cof_terms]
+    eta1 = {}
+    eta0 = {}
+    for (pos, e), c in terms.items():
+        if pos is None:
+            eta1[e] = c
+        else:
+            eta0.setdefault(pos, {})[e] = c
+    return ModuleElem._of(k, MPoly._of(k, eta1), {b: MPoly._of(k, m) for b, m in eta0.items()})
 
 
 def module_buchberger(gens, with_cofactors=False):

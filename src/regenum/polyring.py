@@ -72,7 +72,9 @@ class SparseTerms:
     non-zero coefficients in ambient dimension k.
 
     Zero coefficients are never stored; zero is the empty map.  Instances
-    are treated as immutable, and results keep the operand's class.
+    are treated as immutable, and results keep the operand's class.  The
+    constructor drops zero coefficients from its input; arithmetic results,
+    built zero-free, are wrapped by ``_of`` without that pass.
     """
 
     __slots__ = ("k", "terms")
@@ -83,6 +85,14 @@ class SparseTerms:
             self.terms = {}
         else:
             self.terms = {m: c for m, c in terms.items() if c}
+
+    @classmethod
+    def _of(cls, k: int, terms: dict):
+        """Wrap a map that holds no zero coefficient, without copying it."""
+        self = cls.__new__(cls)
+        self.k = k
+        self.terms = terms
+        return self
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -104,23 +114,23 @@ class SparseTerms:
         out = dict(self.terms)
         for m, c in other.terms.items():
             add_term(out, m, c)
-        return type(self)(self.k, out)
+        return self._of(self.k, out)
 
     def __sub__(self, other):
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
             add_term(out, m, -c)
-        return type(self)(self.k, out)
+        return self._of(self.k, out)
 
     def __neg__(self):
-        return type(self)(self.k, {m: -c for m, c in self.terms.items()})
+        return self._of(self.k, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c):
         c = rf(c)
         if not c:
             return type(self)(self.k)
-        return type(self)(self.k, {m: x * c for m, x in self.terms.items()})
+        return self._of(self.k, {m: x * c for m, x in self.terms.items()})
 
 
 class MPoly(SparseTerms):
@@ -162,19 +172,19 @@ class MPoly(SparseTerms):
             for e2, c2 in other.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
                 add_term(out, e, c1 * c2)
-        return MPoly(self.k, out)
+        return MPoly._of(self.k, out)
 
     def scale_rat(self, x) -> "MPoly":
         x = Fraction(x)
         if not x:
             return MPoly(self.k)
-        return MPoly(self.k, {e: c.scale_rat(x) for e, c in self.terms.items()})
+        return MPoly._of(self.k, {e: c.scale_rat(x) for e, c in self.terms.items()})
 
     def mul_term(self, exp, c: RatFunc) -> "MPoly":
         if not c:
             return MPoly(self.k)
         exp = tuple(exp)
-        return MPoly(self.k, {exp_mul(e, exp): x * c for e, x in self.terms.items()})
+        return MPoly._of(self.k, {exp_mul(e, exp): x * c for e, x in self.terms.items()})
 
     def derivative(self, i: int) -> "MPoly":
         """d/dp_{i+1} (0-based i)."""
@@ -184,10 +194,10 @@ class MPoly(SparseTerms):
                 e2 = list(e)
                 e2[i] -= 1
                 out[tuple(e2)] = c.scale_rat(e[i])
-        return MPoly(self.k, out)
+        return MPoly._of(self.k, out)
 
     def map_coeffs(self, fn) -> "MPoly":
-        return MPoly(self.k, {e: v for e, c in self.terms.items() if (v := fn(c))})
+        return MPoly._of(self.k, {e: v for e, c in self.terms.items() if (v := fn(c))})
 
     def __str__(self):
         from .weyl import mpoly_to_str

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from math import gcd as _igcd
 
 from .exactnum import RatFunc, UniPoly, zcontent, zdivexact, zgcd, zgcd_split, zmul, zneg, zscale, zsub
 from .models import ModelSpec, build_g, build_generators
 from .modgb import eta_embed, extract_reducers, is_dominant, module_buchberger
-from .polyring import MPoly, exp_div, exp_divides, grevlex_key, stairs_and_dim
+from .polyring import MPoly, add_term, exp_div, exp_divides, grevlex_key, stairs_and_dim
 from .seqtools import ODE
 from .weyl import apply_op
 
@@ -68,37 +69,48 @@ def reduction_basis(reducers) -> ReductionBasis:
 def red(s: MPoly, basis: ReductionBasis, want_trace: bool = False):
     """Reduce s to its normal form under the stairs.
 
+    Each step cancels the largest monomial that some m_j divides, using the
+    largest such m_j (ties by index).  One descending sweep does this: a
+    heap hands out the monomials of one mutable term map in decreasing
+    ``grevlex_key`` order, each step's subtrahend G_j . (c p^shift) is
+    folded into the map in place, and a monomial found irreducible is never
+    tested again.  Dominance (checked by ``reduction_basis``) puts every
+    term a step subtracts below its target, so the next reducible monomial
+    is always the next one popped.
+
     Returns (s-check, trace); the trace lists (j, coeff, exponent) per
     elimination step so that s == s-check + sum_j G_j . sigma_j exactly,
     with sigma_j the sum of the traced terms for reducer j.
     """
     reducers = basis.reducers
+    # reducer indices by decreasing m; the stable sort keeps ties by index
+    order = sorted(range(len(reducers)), key=lambda j: grevlex_key(reducers[j].m), reverse=True)
     trace = [] if want_trace else None
-    while True:
-        best = None
-        best_key = None
-        for e in s.terms:
-            if (best_key is None or grevlex_key(e) > best_key) and any(
-                exp_divides(r.m, e) for r in reducers
-            ):
-                best = e
-                best_key = grevlex_key(e)
-        if best is None:
-            return s, trace
-        # among reducers whose m divides, take the largest m, ties by index
-        j = None
-        jkey = None
-        for idx, r in enumerate(reducers):
-            if exp_divides(r.m, best):
-                key = grevlex_key(r.m)
-                if jkey is None or key > jkey:
-                    j, jkey = idx, key
+    terms = dict(s.terms)
+    seen = set(terms)
+    heap = [(-sum(e), e) for e in terms]
+    heapify(heap)
+    while heap:
+        e = heappop(heap)[1]
+        c = terms.get(e)
+        if c is None:
+            continue
+        for j in order:
+            if exp_divides(reducers[j].m, e):
+                break
+        else:
+            continue
         r = reducers[j]
-        c = s.terms[best] / r.c
-        shift = exp_div(best, r.m)
-        s = s - apply_op(r.g, MPoly.term(s.k, shift, c))
+        c = c / r.c
+        shift = exp_div(e, r.m)
+        for m, x in apply_op(r.g, MPoly.term(s.k, shift, c)).terms.items():
+            if m not in seen:
+                seen.add(m)
+                heappush(heap, (-sum(m), m))
+            add_term(terms, m, -x)
         if want_trace:
             trace.append((j, c, shift))
+    return MPoly._of(s.k, terms), trace
 
 
 def replay(s: MPoly, shat: MPoly, trace, basis: ReductionBasis) -> bool:

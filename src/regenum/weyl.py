@@ -128,7 +128,7 @@ def weyl_mul(a: WeylOp, b: WeylOp) -> WeylOp:
                     tuple(x + y - n for x, y, n in zip(b1, b2, nu)),
                 )
                 add_term(out, m, c.scale_rat(w))
-    return WeylOp(a.k, out)
+    return WeylOp._of(a.k, out)
 
 
 def adjoint(a: WeylOp) -> WeylOp:
@@ -165,7 +165,7 @@ def apply_op(a: WeylOp, s: MPoly) -> MPoly:
                 continue
             m = tuple(x + y - z for x, y, z in zip(alpha, e, beta))
             add_term(out, m, (c * cs).scale_rat(w) if w != 1 else c * cs)
-    return MPoly(a.k, out)
+    return MPoly._of(a.k, out)
 
 
 def from_dleft(k: int, parts) -> WeylOp:

@@ -89,6 +89,85 @@ class TestRatFuncArith:
             assert lhs == rhs
 
 
+def assert_canonical(x):
+    """c * np/dp with np, dp coprime, primitive, positive leading
+    coefficients; zero is 0 * 1/1."""
+    if not x.c:
+        assert x.np == (1,) and x.dp == (1,)
+        return
+    assert isinstance(x.np, tuple) and isinstance(x.dp, tuple)
+    assert zprim(x.np) == (1, list(x.np)) and zprim(x.dp) == (1, list(x.dp))
+    assert zgcd(list(x.np), list(x.dp)) == [1]
+
+
+class TestRatFuncShortcuts:
+    """Products with a constant and sums over one denominator return early;
+    each result must equal the one built from UniPoly arithmetic."""
+
+    def test_constant_times_x_and_x_times_constant(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            num, den = rand_unipoly(rng), rand_unipoly(rng) or up(1)
+            q = rand_rat(rng) or Fraction(1)
+            x, cq = RatFunc.of(num, den), RatFunc.from_rat(q)
+            want = RatFunc.of(num.scale(q), den)
+            for got in (x * cq, cq * x):
+                assert got == want
+                assert_canonical(got)
+
+    def test_equal_denominators(self):
+        rng = random.Random(29)
+        hits = 0
+        for _ in range(300):
+            den = rand_unipoly(rng, deg=3) or up(1)
+            n1, n2 = rand_unipoly(rng), rand_unipoly(rng)
+            q1, q2 = rand_rat(rng), rand_rat(rng)
+            a, b = RatFunc.of(n1.scale(q1), den), RatFunc.of(n2.scale(q2), den)
+            if a.is_zero() or b.is_zero() or a.dp != b.dp:
+                continue
+            hits += 1
+            got = a + b
+            assert got == RatFunc.of(n1.scale(q1) + n2.scale(q2), den)
+            assert_canonical(got)
+        assert hits > 100
+
+    def test_denominator_one(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            n1, n2 = rand_unipoly(rng), rand_unipoly(rng)
+            q1, q2 = rand_rat(rng), rand_rat(rng)
+            a, b = RatFunc.of(n1.scale(q1)), RatFunc.of(n2.scale(q2))
+            got = a + b
+            assert got == RatFunc.of(n1.scale(q1) + n2.scale(q2))
+            assert got.is_zero() or got.dp == (1,)
+            assert_canonical(got)
+
+    def test_sums_cancelling_to_zero(self):
+        rng = random.Random(37)
+        for _ in range(100):
+            a = rand_ratfunc(rng)
+            got = a + (-a)
+            assert got.is_zero() and got == RatFunc.of(0)
+            assert_canonical(got)
+        t = RatFunc.of(up(0, 1))
+        assert (t + RatFunc.from_rat(-1) + RF_ONE - t).is_zero()
+
+    def test_sum_cancels_part_of_shared_denominator(self):
+        # t/((t-1)(t+2)) - 1/((t-1)(t+2)) = 1/(t+2)
+        den = up(-1, 1) * up(2, 1)
+        got = RatFunc.of(up(0, 1), den) + RatFunc.of(up(-1), den)
+        assert got == RatFunc.of(1, up(2, 1))
+        assert_canonical(got)
+
+    def test_zmul_unit_operand(self):
+        rng = random.Random(43)
+        for _ in range(50):
+            b = list(rand_unipoly(rng).coeffs)
+            for one in ([1], (1,)):
+                assert zmul(one, b) == b and zmul(b, one) == b
+                assert zmul(one, b) is not b
+
+
 class TestDerivative:
     def test_inverse_t(self):
         d = RatFunc.of(1, up(0, 1)).derivative()

@@ -1,0 +1,221 @@
+"""The descending sweeps in ``modgb._normal_form`` and ``telescope.red``
+against test-local copies of the rescanning loops they replaced: same
+results, same traces, same cofactors, step for step."""
+
+import pytest
+
+from regenum import modgb
+from regenum.exactnum import RF_ONE
+from regenum.modgb import ModuleElem, _normal_form, _sweep_key, eta_embed, module_buchberger
+from regenum.models import build_g, build_generators, parse_model
+from regenum.polyring import MPoly, exp_div, exp_divides, grevlex_key, module_key
+from regenum.telescope import red, replay
+from regenum.weyl import apply_op
+
+from conftest import pipeline, rand_exponent, rand_mpoly, rand_weylop
+
+MODELS = ["se,ll,{4}", "me,la,{2}", "se,lh,{1,2}"]
+
+
+def rescan_normal_form(elem, basis, leads, cof=None, basis_cofs=None):
+    """Reference: sort every monomial, reduce the first reducible one by the
+    lowest-index divisor, copy the element, repeat."""
+    while True:
+        target = None
+        for mon, c in sorted(elem.monomials(), key=lambda t: module_key(t[0]), reverse=True):
+            pos, e = mon
+            for bi, (bpos, bexp) in enumerate(leads):
+                if bpos == pos and exp_divides(bexp, e):
+                    target = (mon, c, bi, exp_div(e, bexp))
+                    break
+            if target:
+                break
+        if target is None:
+            return elem
+        mon, c, bi, shift = target
+        elem = elem - basis[bi].mul_term(shift, c)
+        if cof is not None:
+            q = MPoly.term(elem.k, shift, c)
+            for gi in range(len(cof)):
+                bc = basis_cofs[bi][gi]
+                if not bc.is_zero():
+                    cof[gi] = cof[gi] - bc * q
+
+
+def rescan_red(s, basis, want_trace=False):
+    """Reference: rescan every term for the largest reducible monomial on
+    every step; the largest dividing m wins, ties by index."""
+    reducers = basis.reducers
+    trace = [] if want_trace else None
+    while True:
+        best = None
+        best_key = None
+        for e in s.terms:
+            if (best_key is None or grevlex_key(e) > best_key) and any(
+                exp_divides(r.m, e) for r in reducers
+            ):
+                best = e
+                best_key = grevlex_key(e)
+        if best is None:
+            return s, trace
+        j = None
+        jkey = None
+        for idx, r in enumerate(reducers):
+            if exp_divides(r.m, best):
+                key = grevlex_key(r.m)
+                if jkey is None or key > jkey:
+                    j, jkey = idx, key
+        r = reducers[j]
+        c = s.terms[best] / r.c
+        shift = exp_div(best, r.m)
+        s = s - apply_op(r.g, MPoly.term(s.k, shift, c))
+        if want_trace:
+            trace.append((j, c, shift))
+
+
+def module_times(elem, q):
+    """elem * q for a polynomial q, coefficient-wise."""
+    acc = ModuleElem(elem.k, MPoly(elem.k))
+    for e, c in q.terms.items():
+        acc = acc - elem.mul_term(e, -c)
+    return acc
+
+
+def combination(gens, cof):
+    acc = ModuleElem(gens[0].k, MPoly(gens[0].k))
+    for g, c in zip(gens, cof):
+        acc = acc - module_times(g, -c)
+    return acc
+
+
+def rand_elem(rng, k):
+    """A random module element: an embedded operator plus random eta1 and
+    eta0 parts, so positions and degrees vary beyond the generators'."""
+    elem = eta_embed(rand_weylop(rng, k, nterms=4, maxdeg=3))
+    beta = rand_exponent(rng, k, 2)
+    eta0 = dict(elem.eta0)
+    if any(beta):
+        eta0[beta] = rand_mpoly(rng, k, nterms=3, maxdeg=3)
+    return ModuleElem(k, elem.eta1 + rand_mpoly(rng, k, nterms=3, maxdeg=3), eta0)
+
+
+@pytest.fixture(scope="module", params=MODELS)
+def cofactor_gb(request):
+    model = parse_model(request.param)
+    gens = [eta_embed(g) for g in build_generators(model)]
+    gb, cofs = module_buchberger(gens, with_cofactors=True)
+    return request.param, gens, gb, cofs
+
+
+class TestNormalFormSweep:
+    def test_sweep_key_reverses_module_key(self, rng):
+        for k in (1, 2, 3):
+            mons = {(None, rand_exponent(rng, k, 3)) for _ in range(40)}
+            for _ in range(80):
+                beta = rand_exponent(rng, k, 3)
+                if any(beta):
+                    mons.add((beta, rand_exponent(rng, k, 3)))
+            mons = list(mons)
+            assert sorted(mons, key=_sweep_key) == sorted(mons, key=module_key, reverse=True)
+
+    def test_buchberger_matches_rescan(self, cofactor_gb, monkeypatch):
+        ms, gens, gb, cofs = cofactor_gb
+        monkeypatch.setattr(modgb, "_normal_form", rescan_normal_form)
+        ref_gb, ref_cofs = module_buchberger(gens, with_cofactors=True)
+        assert gb == ref_gb and cofs == ref_cofs, ms
+
+    def test_random_elements(self, cofactor_gb, rng):
+        ms, gens, gb, cofs = cofactor_gb
+        k = gens[0].k
+        leads = [e.lead()[0] for e in gb]
+        for _ in range(25):
+            elem = rand_elem(rng, k)
+            cof = [rand_mpoly(rng, k, nterms=2, maxdeg=1) for _ in gens]
+            ref_cof = list(cof)
+            out = _normal_form(elem, gb, leads, cof, cofs)
+            ref = rescan_normal_form(elem, gb, leads, ref_cof, cofs)
+            assert out == ref and cof == ref_cof, ms
+            assert _normal_form(elem, gb, leads) == ref
+
+    def test_s_polynomials_with_cofactors(self, cofactor_gb):
+        # every S-pair of the reduced basis: the normal form is zero, equal
+        # to the rescan's, and the cofactors still express it exactly
+        ms, gens, gb, cofs = cofactor_gb
+        k = gens[0].k
+        leads = [e.lead()[0] for e in gb]
+        pairs = 0
+        for i in range(len(gb)):
+            for j in range(i + 1, len(gb)):
+                (pos, a_i), (pos_j, a_j) = leads[i], leads[j]
+                if pos != pos_j:
+                    continue
+                lcm = tuple(max(x, y) for x, y in zip(a_i, a_j))
+                qi = MPoly.term(k, exp_div(lcm, a_i), RF_ONE)
+                qj = MPoly.term(k, exp_div(lcm, a_j), RF_ONE)
+                s_elem = module_times(gb[i], qi) - module_times(gb[j], qj)
+                cof = [cofs[i][g] * qi - cofs[j][g] * qj for g in range(len(gens))]
+                ref_cof = list(cof)
+                out = _normal_form(s_elem, gb, leads, cof, cofs)
+                ref = rescan_normal_form(s_elem, gb, leads, ref_cof, cofs)
+                assert out == ref and cof == ref_cof
+                assert out.is_zero()
+                assert combination(gens, cof) == out
+                pairs += 1
+        assert pairs, ms
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_random_monic_bases(self, k, rng):
+        # not Groebner bases: the normal form then depends on the order of
+        # the steps and on the divisor chosen, so both must match the rescan
+        for _ in range(30):
+            basis = []
+            for i in range(4):
+                elem = rand_elem(rng, k)
+                if i % 2 and elem.eta0:
+                    elem = ModuleElem(k, MPoly(k), elem.eta0)  # lead in an eta0 position
+                basis.append(elem.scale(elem.lead()[1].inverse()))
+            leads = [e.lead()[0] for e in basis]
+            basis_cofs = [[rand_mpoly(rng, k, nterms=2, maxdeg=1) for _ in range(2)] for _ in basis]
+            elem = rand_elem(rng, k)
+            cof = [MPoly.const(k, 1), MPoly(k)]
+            ref_cof = list(cof)
+            out = _normal_form(elem, basis, leads, cof, basis_cofs)
+            ref = rescan_normal_form(elem, basis, leads, ref_cof, basis_cofs)
+            assert out == ref and cof == ref_cof
+
+    def test_irreducible_input_unchanged(self, cofactor_gb):
+        ms, gens, gb, cofs = cofactor_gb
+        leads = [e.lead()[0] for e in gb]
+        for i, elem in enumerate(gb):
+            others = gb[:i] + gb[i + 1:]
+            assert _normal_form(elem, others, leads[:i] + leads[i + 1:]) == elem
+
+
+class TestRedSweep:
+    @pytest.mark.parametrize("ms", MODELS)
+    def test_ghat_steps(self, ms):
+        res = pipeline(ms)
+        g = build_g(res.model)
+        for gh in res.ghat:
+            nxt = g * gh + gh.map_coeffs(lambda c: c.derivative())
+            out, trace = red(nxt, res.basis, want_trace=True)
+            ref, ref_trace = rescan_red(nxt, res.basis, want_trace=True)
+            assert out == ref and trace == ref_trace
+            assert red(nxt, res.basis) == (ref, None)
+
+    @pytest.mark.parametrize("ms", MODELS)
+    def test_random_polynomials(self, ms, rng):
+        res = pipeline(ms)
+        for _ in range(40):
+            s = rand_mpoly(rng, res.model.k, nterms=5, maxdeg=4)
+            out, trace = red(s, res.basis, want_trace=True)
+            ref, ref_trace = rescan_red(s, res.basis, want_trace=True)
+            assert out == ref and trace == ref_trace
+            assert replay(s, out, trace, res.basis)
+
+    def test_every_step_of_k5_replays(self):
+        res = pipeline("se,ll,{5}")
+        assert len(res.traces) == len(res.ghat) - 1
+        for src, shat, trace in res.traces:
+            assert trace
+            assert replay(src, shat, trace, res.basis)
