@@ -8,7 +8,10 @@ because the rest of the pipeline needs tight control over normalization
 every gcd in the hot paths runs on primitive integer polynomials, never
 on floating point.  Gcds use an evaluation heuristic whose result is
 accepted only after it divides both operands exactly; when it gives up,
-a primitive pseudo-remainder sequence computes the gcd.
+a primitive pseudo-remainder sequence computes the gcd.  Gcds, splits,
+exact divisions and products with an operand c*t^j are a shift and an
+integer gcd; odd-degree derivations have only such power-of-t
+denominators, while even-degree ones keep the heuristic path.
 
 All values are immutable after construction; operations are pure.
 """
@@ -59,13 +62,27 @@ def zneg(a):
     return [-c for c in a]
 
 
+def _tpow(a):
+    """j when the non-zero coefficient list a is c*t^j, else -1.  Generic
+    polynomials have a[0] != 0 and leave after one test."""
+    if a[0]:
+        return 0 if len(a) == 1 else -1
+    j = len(a) - 1
+    return j if not any(a[1:j]) else -1
+
+
 def zmul(a, b):
     if not a or not b:
         return []
-    if len(a) == 1 and a[0] == 1:
-        return list(b)
-    if len(b) == 1 and b[0] == 1:
-        return list(a)
+    j = _tpow(b)
+    if j < 0:
+        j = _tpow(a)
+        if j >= 0:
+            a, b = b, a
+    if j >= 0:
+        # b is c*t^j: a shift and a scale
+        c = b[-1]
+        return [0] * j + (list(a) if c == 1 else [x * c for x in a])
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -140,7 +157,8 @@ def zgcd(a, b):
     """Gcd in Z[t] (contents included), positive leading coefficient;
     ``zgcd([], b)`` is b itself with a positive leading coefficient.
 
-    The primitive parts go through a heuristic gcd (GCDHEU: Char, Geddes
+    An operand c*t^j meets the other in an integer gcd times a power of t.
+    Other primitive parts go through a heuristic gcd (GCDHEU: Char, Geddes
     and Gonnet, J. Symbolic Comput. 7, 1989) and, only when that gives
     up, through a primitive pseudo-remainder sequence.
     """
@@ -148,11 +166,17 @@ def zgcd(a, b):
     if not a or not b:
         c = list(a or b)
         return zneg(c) if c and c[-1] < 0 else c
+    j = _tpow(b)
+    if j < 0:
+        j = _tpow(a)
+        if j >= 0:
+            a, b = b, a
+    if j >= 0:
+        g, m = _tgcd(a, b[-1], j)
+        return [0] * m + [g]
     ca, pa = zprim(a)
     cb, pb = zprim(b)
     gc = _igcd(ca, cb)
-    if len(pa) == 1 or len(pb) == 1:
-        return [gc]
     g = _heu_gcd(pa, pb)
     if g is None:
         _fallbacks += 1
@@ -160,6 +184,18 @@ def zgcd(a, b):
     if gc != 1:
         g = [c * gc for c in g]
     return g
+
+
+def _tgcd(a, c, j):
+    """``(g, m)`` with gcd(a, c*t^j) == g*t^m and g > 0, for non-zero a.
+
+    t is prime in Z[t], so by Gauss's lemma the gcd is the gcd of the
+    contents times the smaller power of t: an identity, not a heuristic.
+    """
+    m = 0
+    while m < j and not a[m]:
+        m += 1
+    return _igcd(c, *a), m
 
 
 def _heu_gcd(pa, pb):
@@ -213,9 +249,24 @@ def _prs_gcd(pa, pb):
 
 
 def zdivexact(a, b):
-    """Quotient a // b assuming exact divisibility in Z[t]."""
+    """Quotient a // b assuming exact divisibility in Z[t]; raises
+    ArithmeticError when b does not divide a."""
     if not a:
         return []
+    j = _tpow(b)
+    if j >= 0:
+        # b is c*t^j: a slice and an integer division; a shorter than b
+        # has its non-zero leading coefficient below t^j
+        if any(a[:j]):
+            raise ArithmeticError("inexact polynomial division")
+        c = b[-1]
+        q = []
+        for x in a[j:]:
+            qx, r = divmod(x, c)
+            if r:
+                raise ArithmeticError("inexact polynomial division")
+            q.append(qx)
+        return q
     q = [0] * (len(a) - len(b) + 1)
     r = list(a)
     lb = b[-1]
@@ -236,12 +287,29 @@ def zdivexact(a, b):
 
 
 def zgcd_split(a, b):
-    """``(g, a/g, b/g)`` with g = zgcd(a, b); the divisions are skipped
-    when g is 1."""
+    """``(g, a/g, b/g)`` with g = zgcd(a, b).  When an operand is c*t^j,
+    g is an integer gcd times a power of t and both quotients are slices,
+    with no verifying division; otherwise the divisions are skipped when
+    g is 1."""
+    if a and b:
+        j = _tpow(b)
+        if j >= 0:
+            return _tsplit(a, b[-1], j)
+        j = _tpow(a)
+        if j >= 0:
+            g, qb, qa = _tsplit(b, a[-1], j)
+            return g, qa, qb
     g = zgcd(a, b)
     if g == [1]:
         return g, a, b
     return g, zdivexact(a, g), zdivexact(b, g)
+
+
+def _tsplit(a, c, j):
+    """``zgcd_split(a, c*t^j)`` for non-zero a, by slicing."""
+    g, m = _tgcd(a, c, j)
+    qa = a[m:] if g == 1 else [x // g for x in a[m:]]
+    return [0] * m + [g], qa, [0] * (j - m) + [c // g]
 
 
 def zeval(a, x):

@@ -353,3 +353,93 @@ class TestZgcdHeuristic:
         before = gcd_fallbacks()
         assert zgcd(a, b) == prs_gcd(a, b)
         assert gcd_fallbacks() == before + 1
+
+
+def convolve(a, b):
+    """Reference: schoolbook product."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def long_div(a, b):
+    """Reference: long division in Z[t] from the top; ArithmeticError when
+    a quotient coefficient or the remainder is not exact."""
+    r, q = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(q) - 1, -1, -1):
+        qc, rem = divmod(r[i + len(b) - 1], b[-1])
+        if rem:
+            raise ArithmeticError("inexact")
+        q[i] = qc
+        for j, y in enumerate(b):
+            r[i + j] -= qc * y
+    if any(r):
+        raise ArithmeticError("inexact")
+    return q
+
+
+class TestPowerOfT:
+    """Operands c*t^j take a shift path; it must agree with the generic one."""
+
+    A = (
+        [3, -1, 4, 1, -5],                # content 1, constant term
+        [12, -18, 6, 30],                 # content 6
+        [2, 0, 7, -9],                    # negative leading coefficient
+        [0, 0, -8, 4, 0, 20],             # content 4, valuation 2
+        [0, 0, 0, 0, 0, 0, 0, 9, 3, -6],  # content 3, valuation 7
+        [0] * 35 + [15, 10],              # valuation 35, above every j
+        [0, 0, 0, -10],                   # itself c*t^j
+        [-7],                             # a constant
+    )
+
+    @staticmethod
+    def monomials():
+        for j in range(31):
+            for c in (1, -1, 6, -6):
+                yield [0] * j + [c]
+
+    def test_gcd_and_split(self):
+        for m in self.monomials():
+            for a in self.A:
+                g = prs_gcd(a, m)
+                assert zgcd(a, m) == g and zgcd(m, a) == g
+                qa, qm = long_div(a, g), long_div(m, g)
+                assert zgcd_split(a, m) == (g, qa, qm)
+                assert zgcd_split(m, a) == (g, qm, qa)
+
+    def test_mul(self):
+        for m in self.monomials():
+            for a in self.A:
+                assert zmul(a, m) == convolve(a, m) == zmul(m, a)
+
+    def test_exact_division(self):
+        for m in self.monomials():
+            for a in self.A:
+                p = convolve(a, m)
+                assert zdivexact(p, m) == long_div(p, m) == a
+
+    def test_inexact_division_raises(self):
+        for m in self.monomials():
+            j, c = len(m) - 1, m[-1]
+            bad = []
+            if j:
+                bad.append([0] * (j - 1) + [c])         # too short
+                bad.append([0] * (j - 1) + [c, c])      # a t^(j-1) term
+                bad.append([1] + [0] * j + [c])         # a constant term
+            if abs(c) > 1:
+                bad.append([0] * j + [c, 1])            # 1 is not a multiple of c
+            for a in bad:
+                with pytest.raises(ArithmeticError):
+                    long_div(a, m)
+                with pytest.raises(ArithmeticError):
+                    zdivexact(a, m)
+
+    def test_zero_operand(self):
+        for m in self.monomials():
+            pos = m if m[-1] > 0 else [-x for x in m]
+            unit = [1 if m[-1] > 0 else -1]
+            assert zgcd([], m) == zgcd(m, []) == pos
+            assert zgcd_split([], m) == (pos, [], unit)
+            assert zgcd_split(m, []) == (pos, unit, [])

@@ -1,8 +1,10 @@
 """Golden output: SHA-256 of ``solve MODEL --emit ode|gb --format json``.
 
 The digests were recorded before the descending-sweep reductions replaced
-the rescanning loops, so any later change to the derivation's speed is held
-to byte-identical ODEs and reduced Groebner bases.
+the rescanning loops (the two densest draws, ``me,lh,{2,5}`` and
+``me,ll,{1,3,5}``, before power-of-t operands took the shift path), so any
+later change to the derivation's speed is held to byte-identical ODEs and
+reduced Groebner bases.
 """
 
 import hashlib
@@ -26,6 +28,10 @@ GOLDEN = [
     ("se,lh,{1,2}", "gb", "96dcd86b2136f4e80ee3cb3967b34f53454528197ac32fbd00343238f6c34163"),
     ("se,lh,{5}", "ode", "afc6e4de96dbcc3d5787da225f5dcc5b26d8016665ba903cc34ee00f33ef52fc"),
     ("se,lh,{5}", "gb", "6a850a9bf43c7bbbdffc046c069f8403da9db329aa86aaddbaed9335ff2c4545"),
+    ("me,lh,{2,5}", "ode", "ecdcb8a3d311fe4dbeae05017f0bf51d7427cf2c00c831b2ce0b05b041ce72b5"),
+    ("me,lh,{2,5}", "gb", "3fe053a7d380595046f11e1b23c8a39416245fdcf835c36ed4577f80f3588aea"),
+    ("me,ll,{1,3,5}", "ode", "c7b7c5695581614233cc0fc8ef86c10ecc362de05bab0efd2f584105216824bd"),
+    ("me,ll,{1,3,5}", "gb", "79e2ed6b0a992710a60143751e1381a0fcadd77af9065be92872ce50e8e15b44"),
 ]
 
 

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from regenum import exactnum
 from regenum.exactnum import RatFunc, UniPoly, gcd_fallbacks, rf
-from regenum.modgb import Reducer
-from regenum.models import build_g, parse_model
+from regenum.modgb import Reducer, eta_embed, extract_reducers, module_buchberger
+from regenum.models import build_g, build_generators, parse_model
 from regenum.oracle import pairing_tseries, scalar_series
 from regenum.polyring import MPoly
 from regenum.seqtools import ODE
@@ -146,6 +147,33 @@ class TestPipeline:
         before = gcd_fallbacks()
         assert run_pipeline(parse_model("se,ll,{5}")).ode.order == 6
         assert gcd_fallbacks() == before
+
+    def test_degree5_gcds_skip_the_heuristic(self, monkeypatch):
+        # Every denominator of an odd-degree derivation is a power of t, so
+        # the Groebner basis and every reduction take zgcd's shift path; only
+        # the kernel's final content strip may still meet a general gcd.
+        model = parse_model("se,ll,{5}")
+        heu_gcd, calls = exactnum._heu_gcd, []
+
+        def counting(pa, pb):
+            calls.append((pa, pb))
+            return heu_gcd(pa, pb)
+
+        monkeypatch.setattr(exactnum, "_heu_gcd", counting)
+        res = run_pipeline(model)
+        assert len(calls) <= 1
+
+        def refuse(pa, pb):
+            raise AssertionError(f"heuristic gcd of {pa} and {pb}")
+
+        monkeypatch.setattr(exactnum, "_heu_gcd", refuse)
+        gb = module_buchberger([eta_embed(p) for p in build_generators(model)])
+        basis = reduction_basis(extract_reducers(gb))
+        assert gb == res.gb and basis.stairs == res.basis.stairs
+        g, ghat = build_g(model), res.ghat[0]
+        for want in res.ghat[1:]:
+            ghat, _ = red(g * ghat + ghat.map_coeffs(lambda c: c.derivative()), basis)
+            assert ghat == want
 
     def test_k2_ode_exact(self):
         # S' * (2t-2) + t^2 S = 0 for 2-regular graphs
