@@ -10,8 +10,9 @@ on floating point.  Gcds use an evaluation heuristic whose result is
 accepted only after it divides both operands exactly; when it gives up,
 a primitive pseudo-remainder sequence computes the gcd.  Gcds, splits,
 exact divisions and products with an operand c*t^j are a shift and an
-integer gcd; odd-degree derivations have only such power-of-t
-denominators, while even-degree ones keep the heuristic path.
+integer gcd; the odd-degree derivations measured so far (k = 3, 5 and
+the Groebner stage of k = 7) had only such power-of-t denominators,
+while even-degree ones keep the heuristic path for their others.
 
 All values are immutable after construction; operations are pure.
 """
@@ -71,14 +72,21 @@ def _tpow(a):
     return j if not any(a[1:j]) else -1
 
 
-def zmul(a, b):
-    if not a or not b:
-        return []
+def _tpow_last(a, b):
+    """``(a, b, j)`` with two non-zero operands ordered so that b is
+    c*t^j, or j == -1 when neither is."""
     j = _tpow(b)
     if j < 0:
         j = _tpow(a)
         if j >= 0:
-            a, b = b, a
+            return b, a, j
+    return a, b, j
+
+
+def zmul(a, b):
+    if not a or not b:
+        return []
+    a, b, j = _tpow_last(a, b)
     if j >= 0:
         # b is c*t^j: a shift and a scale
         c = b[-1]
@@ -166,14 +174,14 @@ def zgcd(a, b):
     if not a or not b:
         c = list(a or b)
         return zneg(c) if c and c[-1] < 0 else c
-    j = _tpow(b)
-    if j < 0:
-        j = _tpow(a)
-        if j >= 0:
-            a, b = b, a
+    a, b, j = _tpow_last(a, b)
     if j >= 0:
-        g, m = _tgcd(a, b[-1], j)
-        return [0] * m + [g]
+        # t is prime in Z[t], so by Gauss's lemma the gcd is the gcd of the
+        # contents times the smaller power of t: an identity, not a heuristic
+        m = 0
+        while m < j and not a[m]:
+            m += 1
+        return [0] * m + [_igcd(b[-1], *a)]
     ca, pa = zprim(a)
     cb, pb = zprim(b)
     gc = _igcd(ca, cb)
@@ -184,18 +192,6 @@ def zgcd(a, b):
     if gc != 1:
         g = [c * gc for c in g]
     return g
-
-
-def _tgcd(a, c, j):
-    """``(g, m)`` with gcd(a, c*t^j) == g*t^m and g > 0, for non-zero a.
-
-    t is prime in Z[t], so by Gauss's lemma the gcd is the gcd of the
-    contents times the smaller power of t: an identity, not a heuristic.
-    """
-    m = 0
-    while m < j and not a[m]:
-        m += 1
-    return _igcd(c, *a), m
 
 
 def _heu_gcd(pa, pb):
@@ -260,6 +256,8 @@ def zdivexact(a, b):
         if any(a[:j]):
             raise ArithmeticError("inexact polynomial division")
         c = b[-1]
+        if c == 1:
+            return a[j:]
         q = []
         for x in a[j:]:
             qx, r = divmod(x, c)
@@ -287,29 +285,13 @@ def zdivexact(a, b):
 
 
 def zgcd_split(a, b):
-    """``(g, a/g, b/g)`` with g = zgcd(a, b).  When an operand is c*t^j,
-    g is an integer gcd times a power of t and both quotients are slices,
-    with no verifying division; otherwise the divisions are skipped when
-    g is 1."""
-    if a and b:
-        j = _tpow(b)
-        if j >= 0:
-            return _tsplit(a, b[-1], j)
-        j = _tpow(a)
-        if j >= 0:
-            g, qb, qa = _tsplit(b, a[-1], j)
-            return g, qa, qb
+    """``(g, a/g, b/g)`` with g = zgcd(a, b); the divisions are skipped
+    when g is 1.  When an operand is c*t^j, g is an integer times a power
+    of t, so each division is a slice and an integer division."""
     g = zgcd(a, b)
     if g == [1]:
         return g, a, b
     return g, zdivexact(a, g), zdivexact(b, g)
-
-
-def _tsplit(a, c, j):
-    """``zgcd_split(a, c*t^j)`` for non-zero a, by slicing."""
-    g, m = _tgcd(a, c, j)
-    qa = a[m:] if g == 1 else [x // g for x in a[m:]]
-    return [0] * m + [g], qa, [0] * (j - m) + [c // g]
 
 
 def zeval(a, x):

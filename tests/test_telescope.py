@@ -149,9 +149,10 @@ class TestPipeline:
         assert gcd_fallbacks() == before
 
     def test_degree5_gcds_skip_the_heuristic(self, monkeypatch):
-        # Every denominator of an odd-degree derivation is a power of t, so
-        # the Groebner basis and every reduction take zgcd's shift path; only
-        # the kernel's final content strip may still meet a general gcd.
+        # Every denominator this derivation meets is a power of t (measured,
+        # not proved for odd degrees in general), so the Groebner basis and
+        # every reduction take zgcd's shift path; only the kernel's final
+        # content strip may still meet a general gcd.
         model = parse_model("se,ll,{5}")
         heu_gcd, calls = exactnum._heu_gcd, []
 
