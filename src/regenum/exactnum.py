@@ -2,7 +2,9 @@
 polynomials, and normalized rational functions over Q.
 
 Python's ``int`` supplies the arbitrary-precision integers and
-``fractions.Fraction`` the rationals.  The polynomial layer is our own
+``fractions.Fraction`` the rationals; ``RatFunc`` keeps its rational
+scalar as a reduced pair of ints and does the scalar's arithmetic on them
+directly.  The polynomial layer is our own
 because the rest of the pipeline needs tight control over normalization
 (primitive parts, canonical denominators) and over where gcds happen:
 every gcd in the hot paths runs on primitive integer polynomials, never
@@ -13,6 +15,9 @@ exact divisions and products with an operand c*t^j are a shift and an
 integer gcd; the odd-degree derivations measured so far (k = 3, 5 and
 the Groebner stage of k = 7) had only such power-of-t denominators,
 while even-degree ones keep the heuristic path for their others.
+``zkron`` and ``zunkron`` map a polynomial to its value at t = 2^(8*nb)
+and back, so that a sum of polynomial products becomes one big-integer
+expression at C speed (Kronecker substitution).
 
 All values are immutable after construction; operations are pure.
 """
@@ -314,6 +319,37 @@ def zshift_arg(a, s):
     return out
 
 
+def zkron(a, nb):
+    """a(2^(8*nb)): the Kronecker image of a non-zero polynomial whose
+    coefficients lie strictly within +-2^(8*nb - 1).
+
+    Each coefficient becomes one signed nb-byte chunk.  Read as one
+    integer, every negative chunk below the top one leaves a borrow of
+    one on the chunk above it, and those borrows are subtracted back.
+    """
+    x = int.from_bytes(b"".join([c.to_bytes(nb, "little", signed=True) for c in a]), "little", signed=True)
+    neg = bytes(map((0).__gt__, a[:-1]))
+    if any(neg):
+        borrow = bytearray(nb * len(a))
+        borrow[nb::nb] = neg
+        x -= int.from_bytes(borrow, "little")
+    return x
+
+
+def zunkron(x, nb, n):
+    """The polynomial of length at most n whose Kronecker image zkron(., nb)
+    is x, given that its coefficients lie strictly within +-2^(8*nb - 1).
+
+    Adding 2^(8*nb - 1) to every balanced digit makes each one a
+    non-negative nb-byte chunk, so the bytes of the sum are the chunks.
+    """
+    half = 1 << (8 * nb - 1)
+    off = bytearray(nb * n)
+    off[nb - 1::nb] = b"\x80" * n
+    bs = (x + int.from_bytes(off, "little")).to_bytes(nb * n, "little")
+    return ztrim([int.from_bytes(bs[i:i + nb], "little") - half for i in range(0, nb * n, nb)])
+
+
 class UniPoly:
     """Dense univariate polynomial, ascending coefficients (int or Rat).
 
@@ -488,20 +524,38 @@ def unipoly_gcd_content(a: UniPoly, b: UniPoly) -> UniPoly:
     return UniPoly(zgcd(ia, ib))
 
 
+def _qmul(a1, b1, a2, b2):
+    """(a1/b1) * (a2/b2) as a reduced pair, from two reduced pairs with
+    positive denominators: after the cross gcds nothing is left to cancel."""
+    g = _igcd(a1, b2)
+    if g != 1:
+        a1 //= g
+        b2 //= g
+    g = _igcd(a2, b1)
+    if g != 1:
+        a2 //= g
+        b1 //= g
+    return a1 * a2, b1 * b2
+
+
 class RatFunc:
     """Element of Q(t) in canonical form.
 
-    Stored as ``c * np/dp`` where ``c`` is a signed Rat and ``np``, ``dp``
-    are coprime primitive integer polynomials with positive leading
-    coefficients.  The split keeps rational rescaling O(1) and keeps every
-    polynomial gcd on integer-primitive operands.  Equality is structural.
+    Stored as ``(cn/cd) * np/dp``: the rational scalar is a reduced pair of
+    plain ints with ``cd > 0``, and ``np``, ``dp`` are coprime primitive
+    integer polynomials with positive leading coefficients.  Zero is
+    ``cn == 0`` with ``np == dp == (1,)``.  The split keeps rational
+    rescaling O(1) and keeps every polynomial gcd on integer-primitive
+    operands; the scalar's arithmetic is the integer arithmetic a
+    ``Fraction`` would do, without building one.  Equality is structural.
     """
 
-    __slots__ = ("c", "np", "dp")
+    __slots__ = ("cn", "cd", "np", "dp")
 
-    def __init__(self, c, np, dp):
+    def __init__(self, cn, cd, np, dp):
         # Trusted constructor: arguments must already be canonical.
-        self.c = c
+        self.cn = cn
+        self.cd = cd
         self.np = np
         self.dp = dp
 
@@ -511,7 +565,7 @@ class RatFunc:
         x = Fraction(x)
         if not x:
             return RF_ZERO
-        return cls(x, (1,), (1,))
+        return cls(x.numerator, x.denominator, (1,), (1,))
 
     @classmethod
     def of(cls, num, den=None) -> "RatFunc":
@@ -528,23 +582,32 @@ class RatFunc:
         cd, pd = den.as_integer_primitive()
         if not cn:
             return RF_ZERO
-        return cls._reduced(cn / cd, pn.int_coeffs(), pd.int_coeffs())
+        q = cn / cd
+        return cls._reduced(q.numerator, q.denominator, pn.int_coeffs(), pd.int_coeffs())
 
     @classmethod
-    def _reduced(cls, c, np, dp):
-        """Canonicalize a scalar and two integer polys (np may share factors
-        with dp; signs/contents may be off)."""
-        if not c or not np:
+    def _reduced(cls, cn, cd, np, dp):
+        """Canonicalize a reduced scalar pair and two integer polys (np may
+        share factors with dp; signs/contents may be off)."""
+        if not cn or not np:
             return RF_ZERO
         g, np = zprim(np)
         h, dp = zprim(dp)
-        c = c * Fraction(g, h)
+        if h < 0:
+            g, h = -g, -h
+        q = _igcd(g, h)
+        cn, cd = _qmul(cn, cd, g // q, h // q)
         # Gauss: quotients of primitives by their primitive gcd stay
         # primitive with positive leading coefficients.
         _, np, dp = zgcd_split(np, dp)
-        return cls(c, tuple(np), tuple(dp))
+        return cls(cn, cd, tuple(np), tuple(dp))
 
     # -- structure ----------------------------------------------------
+    @property
+    def c(self) -> Fraction:
+        """The scalar as a Fraction, for printing and other cold readers."""
+        return Fraction(self.cn, self.cd)
+
     @property
     def num(self) -> UniPoly:
         return UniPoly(zscale(self.np, self.c))
@@ -554,130 +617,139 @@ class RatFunc:
         return UniPoly(self.dp)
 
     def is_zero(self) -> bool:
-        return not self.c
+        return not self.cn
 
     def is_one(self) -> bool:
-        return self.c == 1 and self.np == (1,) and self.dp == (1,)
+        return self.cn == 1 and self.cd == 1 and self.np == (1,) and self.dp == (1,)
 
     def is_constant(self) -> bool:
         return self.np == (1,) and self.dp == (1,)
 
     def as_rational(self) -> Fraction:
-        if not self.c:
+        if not self.cn:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
         return self.c
 
     def __bool__(self):
-        return bool(self.c)
+        return bool(self.cn)
 
     def __eq__(self, other):
         if isinstance(other, RatFunc):
-            return self.c == other.c and self.np == other.np and self.dp == other.dp
+            return (self.cn == other.cn and self.cd == other.cd
+                    and self.np == other.np and self.dp == other.dp)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.c, self.np, self.dp))
+        return hash((self.cn, self.cd, self.np, self.dp))
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
-        if not other.c:
+        a2 = other.cn
+        if not a2:
             return self
-        if not self.c:
+        a1 = self.cn
+        if not a1:
             return other
         n1, d1, n2, d2 = self.np, self.dp, other.np, other.dp
-        a1, b1 = self.c.numerator, self.c.denominator
-        a2, b2 = other.c.numerator, other.c.denominator
-        bb = b1 * b2 // _igcd(b1, b2)
+        # both scalars over the lcm bb of their denominators
+        b1, b2 = self.cd, other.cd
+        g = _igcd(b1, b2)
+        bb = b1 // g * b2
+        s1, s2 = a1 * (b2 // g), a2 * (b1 // g)
         if d1 == d2:
             # one gcd against the shared denominator, none when it is 1
-            nn = zadd(zscale(n1, a1 * (bb // b1)), zscale(n2, a2 * (bb // b2)))
+            nn = zadd(zscale(n1, s1), zscale(n2, s2))
             if not nn:
                 return RF_ZERO
             if d1 != (1,):
                 _, nn, d1 = zgcd_split(nn, list(d1))
             ct, nn = zprim(nn)
-            return RatFunc(Fraction(ct, bb), tuple(nn), tuple(d1))
+            g = _igcd(ct, bb)
+            return RatFunc(ct // g, bb // g, tuple(nn), tuple(d1))
         g, e1, e2 = zgcd_split(list(d1), list(d2))
-        nn = zadd(
-            zscale(zmul(list(n1), e2), a1 * (bb // b1)),
-            zscale(zmul(list(n2), e1), a2 * (bb // b2)),
-        )
+        nn = zadd(zscale(zmul(list(n1), e2), s1), zscale(zmul(list(n2), e1), s2))
         if not nn:
             return RF_ZERO
         _, nn, g = zgcd_split(nn, g)
         ct, nn = zprim(nn)
         dd = zmul(zmul(g, e1), e2)
-        return RatFunc(Fraction(ct, bb), tuple(nn), tuple(dd))
+        g = _igcd(ct, bb)
+        return RatFunc(ct // g, bb // g, tuple(nn), tuple(dd))
 
     def __neg__(self):
-        if not self.c:
+        if not self.cn:
             return self
-        return RatFunc(-self.c, self.np, self.dp)
+        return RatFunc(-self.cn, self.cd, self.np, self.dp)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if not self.c or not other.c:
+        a1, a2 = self.cn, other.cn
+        if not a1 or not a2:
             return RF_ZERO
+        cn, cd = _qmul(a1, self.cd, a2, other.cd)
         n1, d1, n2, d2 = self.np, self.dp, other.np, other.dp
-        c = self.c * other.c
         if n2 == (1,) and d2 == (1,):
-            return RatFunc(c, n1, d1)
+            return RatFunc(cn, cd, n1, d1)
         if n1 == (1,) and d1 == (1,):
-            return RatFunc(c, n2, d2)
+            return RatFunc(cn, cd, n2, d2)
         if d2 != (1,) and n1 != (1,):
             _, n1, d2 = zgcd_split(list(n1), list(d2))
         if d1 != (1,) and n2 != (1,):
             _, n2, d1 = zgcd_split(list(n2), list(d1))
-        return RatFunc(c, tuple(zmul(list(n1), list(n2))), tuple(zmul(list(d1), list(d2))))
+        return RatFunc(cn, cd, tuple(zmul(list(n1), list(n2))), tuple(zmul(list(d1), list(d2))))
 
     def inverse(self):
-        if not self.c:
+        cn = self.cn
+        if not cn:
             raise ZeroDivisionError("division by zero in Q(t)")
-        return RatFunc(1 / self.c, self.dp, self.np)
+        if cn < 0:
+            return RatFunc(-self.cd, -cn, self.dp, self.np)
+        return RatFunc(self.cd, cn, self.dp, self.np)
 
     def __truediv__(self, other):
         return self * other.inverse()
 
     def scale_rat(self, x) -> "RatFunc":
-        """Multiply by a rational scalar; O(1)."""
-        if not x or not self.c:
+        """Multiply by a rational scalar (int or Fraction); O(1)."""
+        if not x or not self.cn:
             return RF_ZERO
-        return RatFunc(self.c * x, self.np, self.dp)
+        cn, cd = _qmul(self.cn, self.cd, x.numerator, x.denominator)
+        return RatFunc(cn, cd, self.np, self.dp)
 
     def derivative(self) -> "RatFunc":
-        if not self.c or (self.np == (1,) and self.dp == (1,)):
+        if not self.cn or (self.np == (1,) and self.dp == (1,)):
             return RF_ZERO
         n, d = list(self.np), list(self.dp)
         dn = zderiv(n)
         if d == [1]:
-            return RatFunc._reduced(self.c, dn, [1]) if dn else RF_ZERO
+            return RatFunc._reduced(self.cn, self.cd, dn, [1]) if dn else RF_ZERO
         dd = zderiv(d)
         u = zsub(zmul(dn, d), zmul(n, dd))
         if not u:
             return RF_ZERO
-        return RatFunc._reduced(self.c, u, zmul(d, d))
+        return RatFunc._reduced(self.cn, self.cd, u, zmul(d, d))
 
     def evaluate(self, x):
-        if not self.c:
+        if not self.cn:
             return Fraction(0)
         d = zeval(self.dp, x)
         if not d:
             raise ZeroDivisionError("pole of rational function")
-        return self.c * Fraction(zeval(self.np, x), 1) / d
+        return self.c * zeval(self.np, x) / d
 
     # -- printing -----------------------------------------------------
     def _display_pair(self):
         """Numerator/denominator as integer polynomials for printing."""
-        num = UniPoly(zscale(list(self.np), self.c.numerator))
-        den = UniPoly(zscale(list(self.dp), self.c.denominator))
+        num = UniPoly(zscale(list(self.np), self.cn))
+        den = UniPoly(zscale(list(self.dp), self.cd))
         return num, den
 
     def __str__(self):
-        if not self.c:
+        if not self.cn:
             return "0"
         num, den = self._display_pair()
         if den == UP_ONE:
@@ -690,9 +762,9 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-RF_ZERO = RatFunc(Fraction(0), (1,), (1,))
-RF_ONE = RatFunc(Fraction(1), (1,), (1,))
-RF_T = RatFunc(Fraction(1), (0, 1), (1,))
+RF_ZERO = RatFunc(0, 1, (1,), (1,))
+RF_ONE = RatFunc(1, 1, (1,), (1,))
+RF_T = RatFunc(1, 1, (0, 1), (1,))
 
 
 def rf(x) -> RatFunc:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import gcd as _igcd
 
-from .exactnum import RatFunc, UniPoly, zcontent, zdivexact, zgcd, zgcd_split, zmul, zneg, zscale, zsub
+from .exactnum import RatFunc, UniPoly, zcontent, zdivexact, zgcd, zgcd_split, zkron, zmul, zneg, zscale, zunkron
 from .models import ModelSpec, build_g, build_generators
 from .modgb import eta_embed, extract_reducers, is_dominant, module_buchberger
 from .polyring import MPoly, add_term, exp_div, exp_divides, grevlex_key, stairs_and_dim
@@ -126,6 +126,70 @@ def replay(s: MPoly, shat: MPoly, trace, basis: ReductionBasis) -> bool:
     return acc == s
 
 
+def _even_part(a):
+    """``(v, a[v::2])`` when the non-zero polynomial a is t^v * A(t^2),
+    else None."""
+    v = 0
+    while not a[v]:
+        v += 1
+    return None if any(a[v + 1::2]) else (v, a[v::2])
+
+
+def _bits(a):
+    return max(map(abs, a)).bit_length()
+
+
+class _BareissStep:
+    """One elimination step against a stored pivot row: the map
+    (rc, pc) -> (rc*plead - pc*m) / prev, the two products and their
+    difference formed by one Kronecker evaluation at t = 2^(8*nb).
+
+    The width is rigorous: a product x*y has coefficients below
+    2^(bits(x) + bits(y) + bitlen(min(len x, len y))), and one bit more
+    holds the difference, one the sign.  When every operand is
+    t^v * A(t^2) and the two products' shifts have equal parity, the
+    products are formed in T = t^2, with half the packed length, and
+    inflated back.  plead and m are packed once per step and width.
+    """
+
+    def __init__(self, plead, m, prev):
+        self.fixed = (plead, m)
+        self.even = (_even_part(plead), _even_part(m) if m else None)
+        self.prev = prev
+        self.images = {}
+
+    def __call__(self, rc, pc):
+        # the non-zero products, as (x, k): x times fixed[k]
+        ops = [(x, k) for k, x in enumerate((rc, pc)) if x and self.fixed[k]]
+        if not ops:
+            return []
+        evens = [(_even_part(x), self.even[k]) for x, k in ops]
+        s0 = None
+        if all(ex and ey for ex, ey in evens) and len({(ex[0] + ey[0]) & 1 for ex, ey in evens}) == 1:
+            s0 = min(ex[0] + ey[0] for ex, ey in evens)
+            # (shift in T above t^s0, x, y, image key)
+            terms = [((ex[0] + ey[0] - s0) >> 1, ex[1], ey[1], (k, True)) for (ex, ey), (_, k) in zip(evens, ops)]
+        else:
+            terms = [(0, x, self.fixed[k], (k, False)) for x, k in ops]
+        # bits of the largest product bound plus two, in whole bytes
+        nb = (max(_bits(x) + _bits(y) + min(len(x), len(y)).bit_length() for _, x, y, _ in terms) + 9) // 8
+        acc = 0
+        n = 0
+        for shift, x, y, key in terms:
+            img = self.images.get((key, nb))
+            if img is None:
+                img = self.images[(key, nb)] = zkron(y, nb)
+            p = zkron(x, nb) * img << (8 * nb * shift)
+            acc = acc - p if key[0] else acc + p  # pc*m (k == 1) is subtracted
+            n = max(n, shift + len(x) + len(y) - 1)
+        v = zunkron(acc, nb, n)
+        if s0 is not None and v:
+            w = [0] * (s0 + 2 * len(v) - 1)
+            w[s0::2] = v
+            v = w
+        return zdivexact(v, self.prev) if self.prev != [1] else v
+
+
 class KernelAccumulator:
     """Incremental left-kernel detection over Q(t) by single-step Bareiss
     elimination on integer polynomials, with exact cofactor tracking.
@@ -135,7 +199,13 @@ class KernelAccumulator:
     previous pivot entry (Sylvester's identity keeps every entry, cofactor
     columns included, a minor of the denominator-cleared input), so growth
     stays determinant-sized without any gcd work in the loop; the full
-    content is stripped once from the final dependency vector.
+    content is stripped once from the final dependency vector.  Each
+    entry's cross-multiplication rc*plead - pc*m is one Kronecker
+    evaluation (``_BareissStep``): the operands are packed as integers at
+    t = 2^W with W from their actual sizes, a bound that cannot overflow,
+    the difference is formed by two big-integer products, and its digits
+    are read back; operands in t^2 are packed at half length.  Entries are
+    stored as polynomials, and the exact division stays polynomial.
     """
 
     def __init__(self, width: int):
@@ -152,7 +222,7 @@ class KernelAccumulator:
         den = [1]
         for c in coords:
             if not c.is_zero():
-                extra = zscale(list(c.dp), c.c.denominator)
+                extra = zscale(list(c.dp), c.cd)
                 _, _, extra = zgcd_split(den, extra)
                 den = zmul(den, extra)
         row = []
@@ -160,8 +230,8 @@ class KernelAccumulator:
             if c.is_zero():
                 row.append([])
             else:
-                q = zdivexact(den, zscale(list(c.dp), c.c.denominator))
-                row.append(zscale(zmul(list(c.np), q), c.c.numerator))
+                q = zdivexact(den, zscale(list(c.dp), c.cd))
+                row.append(zscale(zmul(list(c.np), q), c.cn))
         cofs = {idx: den}
         # pre-elimination scaling is free: strip the integer content now
         g = zcontent(den)
@@ -175,12 +245,7 @@ class KernelAccumulator:
 
         prev = [1]
         for pcol, pcoords, pcofs, plead in self.rows:
-            m = row[pcol]
-
-            def step(rc, pc):
-                v = zsub(zmul(rc, plead), zmul(pc, m)) if m else zmul(rc, plead)
-                return zdivexact(v, prev) if prev != [1] else v
-
+            step = _BareissStep(plead, row[pcol], prev)
             row = [step(rc, pc) for rc, pc in zip(row, pcoords)]
             ncofs = {}
             for key in set(cofs) | set(pcofs):

@@ -270,7 +270,7 @@ def op_to_str(a: WeylOp) -> str:
         for i, e in enumerate(beta, start=1):
             if e:
                 vars_.append(f"d{i}" + (f"^{e}" if e > 1 else ""))
-        neg = c.c < 0
+        neg = c.cn < 0
         cs = str(-c) if neg else str(c)
         cs = _ratfunc_str(cs, need_parens=bool(vars_))
         if vars_:

@@ -90,11 +90,13 @@ class TestRatFuncArith:
 
 
 def assert_canonical(x):
-    """c * np/dp with np, dp coprime, primitive, positive leading
-    coefficients; zero is 0 * 1/1."""
-    if not x.c:
-        assert x.np == (1,) and x.dp == (1,)
+    """(cn/cd) * np/dp with a reduced scalar pair, cd > 0, and np, dp
+    coprime, primitive, positive leading coefficients; zero is 0/1 * 1/1."""
+    assert type(x.cn) is int and type(x.cd) is int
+    if not x.cn:
+        assert x.cd == 1 and x.np == (1,) and x.dp == (1,)
         return
+    assert x.cd > 0 and math.gcd(x.cn, x.cd) == 1
     assert isinstance(x.np, tuple) and isinstance(x.dp, tuple)
     assert zprim(x.np) == (1, list(x.np)) and zprim(x.dp) == (1, list(x.dp))
     assert zgcd(list(x.np), list(x.dp)) == [1]
@@ -166,6 +168,84 @@ class TestRatFuncShortcuts:
             for one in ([1], (1,)):
                 assert zmul(one, b) == b and zmul(b, one) == b
                 assert zmul(one, b) is not b
+
+
+# denominators for the int-pair tests: 1, powers of t, and general ones
+DENS = [up(1), up(0, 1), up(0, 0, 1), up(-1, 1), up(3, 2), up(1, 1, 1), up(-1, 1) * up(3, 2)]
+
+
+def rand_pair_ratfunc(rng, dens=DENS):
+    """A RatFunc with a scalar of up to 40 bits over one of ``dens``."""
+    num = rand_unipoly(rng, deg=3, size=9).scale(Fraction(rng.randint(-2**40, 2**40), rng.randint(1, 2**40)))
+    return RatFunc.of(num, rng.choice(dens).scale(rng.choice([1, -3, 12])))
+
+
+class TestIntPairScalar:
+    """The scalar as a reduced int pair: every operation against the one
+    built by ``RatFunc.of`` from UniPoly arithmetic on num/den."""
+
+    def test_mul_and_add(self):
+        rng = random.Random(47)
+        kinds = set()
+        for i in range(600):
+            a = rand_pair_ratfunc(rng)
+            # equal, different and (1,) denominators all occur
+            b = rand_pair_ratfunc(rng, [UniPoly(a.dp)] if i % 3 == 0 else DENS)
+            kinds.add("equal" if a.dp == b.dp != (1,) else "one" if (1,) in (a.dp, b.dp) else "different")
+            prod, total = a * b, a + b
+            assert prod == RatFunc.of(a.num * b.num, a.den * b.den)
+            assert total == RatFunc.of(a.num * b.den + b.num * a.den, a.den * b.den)
+            assert a - b == RatFunc.of(a.num * b.den - b.num * a.den, a.den * b.den)
+            for x in (prod, total):
+                assert_canonical(x)
+        assert kinds == {"equal", "one", "different"}
+
+    def test_neg_and_inverse(self):
+        rng = random.Random(53)
+        signs = set()
+        for _ in range(300):
+            a = rand_pair_ratfunc(rng)
+            assert -a == RatFunc.of(-a.num, a.den)
+            assert_canonical(-a)
+            if a.is_zero():
+                continue
+            signs.add(a.cn > 0)
+            inv = a.inverse()
+            assert inv == RatFunc.of(a.den, a.num)
+            assert_canonical(inv)
+            assert inv * a == RF_ONE
+        assert signs == {True, False}
+
+    def test_scale_rat(self):
+        rng = random.Random(59)
+        for _ in range(300):
+            a = rand_pair_ratfunc(rng)
+            for q in (rng.randint(-50, 50), Fraction(rng.randint(-2**30, 2**30), rng.randint(1, 2**30))):
+                got = a.scale_rat(q)
+                assert got == RatFunc.of(a.num.scale(q), a.den)
+                assert_canonical(got)
+
+    def test_derivative_and_evaluate(self):
+        rng = random.Random(61)
+        for _ in range(200):
+            a = rand_pair_ratfunc(rng)
+            n, d = a.num, a.den
+            got = a.derivative()
+            assert got == RatFunc.of(n.derivative() * d - n * d.derivative(), d * d)
+            assert_canonical(got)
+            x = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+            if d.evaluate(x):
+                assert a.evaluate(x) == Fraction(n.evaluate(x)) / d.evaluate(x)
+
+    def test_hash_and_c_property(self):
+        rng = random.Random(67)
+        for _ in range(200):
+            a = rand_pair_ratfunc(rng)
+            b = RatFunc.of(a.num.scale(3), a.den.scale(3))
+            assert a == b and hash(a) == hash(b)
+            c = a.c
+            assert type(c) is Fraction and (c.numerator, c.denominator) == (a.cn, a.cd)
+        assert RatFunc.of(0).c == 0 and RatFunc.of(up(-6), up(4)).c == Fraction(-3, 2)
 
 
 class TestDerivative:

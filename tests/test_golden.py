@@ -2,9 +2,11 @@
 
 The digests were recorded before the descending-sweep reductions replaced
 the rescanning loops (the two densest draws, ``me,lh,{2,5}`` and
-``me,ll,{1,3,5}``, before power-of-t operands took the shift path), so any
-later change to the derivation's speed is held to byte-identical ODEs and
-reduced Groebner bases.
+``me,ll,{1,3,5}``, before power-of-t operands took the shift path;
+``se,ll,{6}``, whose denominators are not all powers of t, before the
+int-pair scalar and the Kronecker kernel step), so any later change to the
+derivation's speed is held to byte-identical ODEs and reduced Groebner
+bases.
 """
 
 import hashlib
@@ -32,6 +34,7 @@ GOLDEN = [
     ("me,lh,{2,5}", "gb", "3fe053a7d380595046f11e1b23c8a39416245fdcf835c36ed4577f80f3588aea"),
     ("me,ll,{1,3,5}", "ode", "c7b7c5695581614233cc0fc8ef86c10ecc362de05bab0efd2f584105216824bd"),
     ("me,ll,{1,3,5}", "gb", "79e2ed6b0a992710a60143751e1381a0fcadd77af9065be92872ce50e8e15b44"),
+    ("se,ll,{6}", "ode", "2eff54879ab7cf6e71a2eda473188bc965e494303f5631cadc3d7c4962387aba"),
 ]
 
 
