@@ -10,11 +10,12 @@ because the rest of the pipeline needs tight control over normalization
 every gcd in the hot paths runs on primitive integer polynomials, never
 on floating point.  Gcds use an evaluation heuristic whose result is
 accepted only after it divides both operands exactly; when it gives up,
-a primitive pseudo-remainder sequence computes the gcd.  Gcds, splits,
-exact divisions and products with an operand c*t^j are a shift and an
-integer gcd; the odd-degree derivations measured so far (k = 3, 5 and
-the Groebner stage of k = 7) had only such power-of-t denominators,
-while even-degree ones keep the heuristic path for their others.
+a primitive pseudo-remainder sequence computes the gcd.  ``RatFunc``
+keeps the power of t apart as an exponent, so its polynomials are prime
+to t and a power-of-t denominator costs no gcd at all; the odd-degree
+derivations measured so far (k = 3, 5 and the Groebner stage of k = 7)
+had no other denominators, while even-degree ones run the heuristic for
+their others.
 ``zkron`` and ``zunkron`` map a polynomial to its value at t = 2^(8*nb)
 and back, so that a sum of polynomial products becomes one big-integer
 expression at C speed (Kronecker substitution).
@@ -48,6 +49,14 @@ def ztrim(cs: list) -> list:
     return cs
 
 
+def zval(a) -> int:
+    """The power of t that divides the non-zero polynomial a exactly."""
+    v = 0
+    while not a[v]:
+        v += 1
+    return v
+
+
 def zadd(a, b):
     if len(a) < len(b):
         a, b = b, a
@@ -68,34 +77,9 @@ def zneg(a):
     return [-c for c in a]
 
 
-def _tpow(a):
-    """j when the non-zero coefficient list a is c*t^j, else -1.  Generic
-    polynomials have a[0] != 0 and leave after one test."""
-    if a[0]:
-        return 0 if len(a) == 1 else -1
-    j = len(a) - 1
-    return j if not any(a[1:j]) else -1
-
-
-def _tpow_last(a, b):
-    """``(a, b, j)`` with two non-zero operands ordered so that b is
-    c*t^j, or j == -1 when neither is."""
-    j = _tpow(b)
-    if j < 0:
-        j = _tpow(a)
-        if j >= 0:
-            return b, a, j
-    return a, b, j
-
-
 def zmul(a, b):
     if not a or not b:
         return []
-    a, b, j = _tpow_last(a, b)
-    if j >= 0:
-        # b is c*t^j: a shift and a scale
-        c = b[-1]
-        return [0] * j + (list(a) if c == 1 else [x * c for x in a])
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -170,7 +154,7 @@ def zgcd(a, b):
     """Gcd in Z[t] (contents included), positive leading coefficient;
     ``zgcd([], b)`` is b itself with a positive leading coefficient.
 
-    An operand c*t^j meets the other in an integer gcd times a power of t.
+    A constant primitive part makes the gcd the gcd of the contents.
     Other primitive parts go through a heuristic gcd (GCDHEU: Char, Geddes
     and Gonnet, J. Symbolic Comput. 7, 1989) and, only when that gives
     up, through a primitive pseudo-remainder sequence.
@@ -179,17 +163,11 @@ def zgcd(a, b):
     if not a or not b:
         c = list(a or b)
         return zneg(c) if c and c[-1] < 0 else c
-    a, b, j = _tpow_last(a, b)
-    if j >= 0:
-        # t is prime in Z[t], so by Gauss's lemma the gcd is the gcd of the
-        # contents times the smaller power of t: an identity, not a heuristic
-        m = 0
-        while m < j and not a[m]:
-            m += 1
-        return [0] * m + [_igcd(b[-1], *a)]
     ca, pa = zprim(a)
     cb, pb = zprim(b)
     gc = _igcd(ca, cb)
+    if len(pa) == 1 or len(pb) == 1:
+        return [gc]
     g = _heu_gcd(pa, pb)
     if g is None:
         _fallbacks += 1
@@ -254,22 +232,6 @@ def zdivexact(a, b):
     ArithmeticError when b does not divide a."""
     if not a:
         return []
-    j = _tpow(b)
-    if j >= 0:
-        # b is c*t^j: a slice and an integer division; a shorter than b
-        # has its non-zero leading coefficient below t^j
-        if any(a[:j]):
-            raise ArithmeticError("inexact polynomial division")
-        c = b[-1]
-        if c == 1:
-            return a[j:]
-        q = []
-        for x in a[j:]:
-            qx, r = divmod(x, c)
-            if r:
-                raise ArithmeticError("inexact polynomial division")
-            q.append(qx)
-        return q
     q = [0] * (len(a) - len(b) + 1)
     r = list(a)
     lb = b[-1]
@@ -291,8 +253,7 @@ def zdivexact(a, b):
 
 def zgcd_split(a, b):
     """``(g, a/g, b/g)`` with g = zgcd(a, b); the divisions are skipped
-    when g is 1.  When an operand is c*t^j, g is an integer times a power
-    of t, so each division is a slice and an integer division."""
+    when g is 1."""
     g = zgcd(a, b)
     if g == [1]:
         return g, a, b
@@ -538,24 +499,57 @@ def _qmul(a1, b1, a2, b2):
     return a1 * a2, b1 * b2
 
 
+def _zprod(a, b):
+    """a*b as a tuple; no product is formed when either operand is 1."""
+    if len(b) == 1 and b[0] == 1:
+        return tuple(a)
+    if len(a) == 1 and a[0] == 1:
+        return tuple(b)
+    return tuple(zmul(a, b))
+
+
+def _tsum(s1, n1, e1, s2, n2, e2):
+    """``(e, p)`` with s1*t^e1*n1 + s2*t^e2*n2 == t^e * p and p(0) != 0,
+    or p == [] when the sum is zero.  n1 and n2 have non-zero constant
+    terms, so only equal exponents can leave low zeros to strip."""
+    if e1 > e2:
+        s1, n1, e1, s2, n2, e2 = s2, n2, e2, s1, n1, e1
+    k = e2 - e1
+    out = [s1 * x for x in n1]
+    if len(out) < k + len(n2):
+        out += [0] * (k + len(n2) - len(out))
+    for i, x in enumerate(n2, k):
+        out[i] += s2 * x
+    ztrim(out)
+    if not out:
+        return 0, out
+    v = zval(out)
+    return e1 + v, out[v:] if v else out
+
+
 class RatFunc:
     """Element of Q(t) in canonical form.
 
-    Stored as ``(cn/cd) * np/dp``: the rational scalar is a reduced pair of
-    plain ints with ``cd > 0``, and ``np``, ``dp`` are coprime primitive
-    integer polynomials with positive leading coefficients.  Zero is
-    ``cn == 0`` with ``np == dp == (1,)``.  The split keeps rational
+    Stored as ``(cn/cd) * t^e * np/dp``: the rational scalar is a reduced
+    pair of plain ints with ``cd > 0``, ``e`` is an int of either sign, and
+    ``np``, ``dp`` are coprime primitive integer polynomials with positive
+    leading coefficients and non-zero constant terms.  Zero is ``cn == 0``
+    with ``e == 0`` and ``np == dp == (1,)``.  The split keeps rational
     rescaling O(1) and keeps every polynomial gcd on integer-primitive
-    operands; the scalar's arithmetic is the integer arithmetic a
-    ``Fraction`` would do, without building one.  Equality is structural.
+    operands prime to t: a power of t costs an exponent, so products add
+    exponents, sums shift one numerator, and power-of-t denominators are
+    ``dp == (1,)`` and meet no gcd.  The scalar's arithmetic is the integer
+    arithmetic a ``Fraction`` would do, without building one.  Equality is
+    structural.
     """
 
-    __slots__ = ("cn", "cd", "np", "dp")
+    __slots__ = ("cn", "cd", "e", "np", "dp")
 
-    def __init__(self, cn, cd, np, dp):
+    def __init__(self, cn, cd, e, np, dp):
         # Trusted constructor: arguments must already be canonical.
         self.cn = cn
         self.cd = cd
+        self.e = e
         self.np = np
         self.dp = dp
 
@@ -565,7 +559,7 @@ class RatFunc:
         x = Fraction(x)
         if not x:
             return RF_ZERO
-        return cls(x.numerator, x.denominator, (1,), (1,))
+        return cls(x.numerator, x.denominator, 0, (1,), (1,))
 
     @classmethod
     def of(cls, num, den=None) -> "RatFunc":
@@ -583,24 +577,27 @@ class RatFunc:
         if not cn:
             return RF_ZERO
         q = cn / cd
-        return cls._reduced(q.numerator, q.denominator, pn.int_coeffs(), pd.int_coeffs())
+        return cls._reduced(q.numerator, q.denominator, 0, pn.int_coeffs(), pd.int_coeffs())
 
     @classmethod
-    def _reduced(cls, cn, cd, np, dp):
-        """Canonicalize a reduced scalar pair and two integer polys (np may
-        share factors with dp; signs/contents may be off)."""
+    def _reduced(cls, cn, cd, e, np, dp):
+        """Canonicalize a reduced scalar pair, an exponent and two integer
+        polys (np may share factors with dp and either may have low zeros;
+        signs/contents may be off)."""
         if not cn or not np:
             return RF_ZERO
-        g, np = zprim(np)
-        h, dp = zprim(dp)
+        v, w = zval(np), zval(dp)
+        g, np = zprim(np[v:])
+        h, dp = zprim(dp[w:])
         if h < 0:
             g, h = -g, -h
         q = _igcd(g, h)
         cn, cd = _qmul(cn, cd, g // q, h // q)
         # Gauss: quotients of primitives by their primitive gcd stay
         # primitive with positive leading coefficients.
-        _, np, dp = zgcd_split(np, dp)
-        return cls(cn, cd, tuple(np), tuple(dp))
+        if len(np) > 1 and len(dp) > 1:
+            _, np, dp = zgcd_split(np, dp)
+        return cls(cn, cd, e + v - w, tuple(np), tuple(dp))
 
     # -- structure ----------------------------------------------------
     @property
@@ -610,20 +607,20 @@ class RatFunc:
 
     @property
     def num(self) -> UniPoly:
-        return UniPoly(zscale(self.np, self.c))
+        return UniPoly([0] * max(self.e, 0) + zscale(self.np, self.c))
 
     @property
     def den(self) -> UniPoly:
-        return UniPoly(self.dp)
+        return UniPoly((0,) * max(-self.e, 0) + self.dp)
 
     def is_zero(self) -> bool:
         return not self.cn
 
     def is_one(self) -> bool:
-        return self.cn == 1 and self.cd == 1 and self.np == (1,) and self.dp == (1,)
+        return self.cn == 1 and self.cd == 1 and self.is_constant()
 
     def is_constant(self) -> bool:
-        return self.np == (1,) and self.dp == (1,)
+        return not self.e and self.np == (1,) and self.dp == (1,)
 
     def as_rational(self) -> Fraction:
         if not self.cn:
@@ -637,12 +634,12 @@ class RatFunc:
 
     def __eq__(self, other):
         if isinstance(other, RatFunc):
-            return (self.cn == other.cn and self.cd == other.cd
+            return (self.cn == other.cn and self.cd == other.cd and self.e == other.e
                     and self.np == other.np and self.dp == other.dp)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.cn, self.cd, self.np, self.dp))
+        return hash((self.cn, self.cd, self.e, self.np, self.dp))
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
@@ -658,30 +655,26 @@ class RatFunc:
         g = _igcd(b1, b2)
         bb = b1 // g * b2
         s1, s2 = a1 * (b2 // g), a2 * (b1 // g)
+        # d1 = g*q1 and d2 = g*q2 with q1, q2 coprime; no gcd when one is 1
         if d1 == d2:
-            # one gcd against the shared denominator, none when it is 1
-            nn = zadd(zscale(n1, s1), zscale(n2, s2))
-            if not nn:
-                return RF_ZERO
-            if d1 != (1,):
-                _, nn, d1 = zgcd_split(nn, list(d1))
-            ct, nn = zprim(nn)
-            g = _igcd(ct, bb)
-            return RatFunc(ct // g, bb // g, tuple(nn), tuple(d1))
-        g, e1, e2 = zgcd_split(list(d1), list(d2))
-        nn = zadd(zscale(zmul(list(n1), e2), s1), zscale(zmul(list(n2), e1), s2))
+            g, q1, q2 = d1, (1,), (1,)
+        elif d1 == (1,) or d2 == (1,):
+            g, q1, q2 = (1,), d1, d2
+        else:
+            g, q1, q2 = zgcd_split(d1, d2)
+        e, nn = _tsum(s1, _zprod(n1, q2), self.e, s2, _zprod(n2, q1), other.e)
         if not nn:
             return RF_ZERO
-        _, nn, g = zgcd_split(nn, g)
         ct, nn = zprim(nn)
-        dd = zmul(zmul(g, e1), e2)
-        g = _igcd(ct, bb)
-        return RatFunc(ct // g, bb // g, tuple(nn), tuple(dd))
+        if len(g) > 1 and len(nn) > 1:
+            _, nn, g = zgcd_split(nn, g)
+        h = _igcd(ct, bb)
+        return RatFunc(ct // h, bb // h, e, tuple(nn), _zprod(_zprod(g, q1), q2))
 
     def __neg__(self):
         if not self.cn:
             return self
-        return RatFunc(-self.cn, self.cd, self.np, self.dp)
+        return RatFunc(-self.cn, self.cd, self.e, self.np, self.dp)
 
     def __sub__(self, other):
         return self + (-other)
@@ -692,23 +685,19 @@ class RatFunc:
             return RF_ZERO
         cn, cd = _qmul(a1, self.cd, a2, other.cd)
         n1, d1, n2, d2 = self.np, self.dp, other.np, other.dp
-        if n2 == (1,) and d2 == (1,):
-            return RatFunc(cn, cd, n1, d1)
-        if n1 == (1,) and d1 == (1,):
-            return RatFunc(cn, cd, n2, d2)
         if d2 != (1,) and n1 != (1,):
-            _, n1, d2 = zgcd_split(list(n1), list(d2))
+            _, n1, d2 = zgcd_split(n1, d2)
         if d1 != (1,) and n2 != (1,):
-            _, n2, d1 = zgcd_split(list(n2), list(d1))
-        return RatFunc(cn, cd, tuple(zmul(list(n1), list(n2))), tuple(zmul(list(d1), list(d2))))
+            _, n2, d1 = zgcd_split(n2, d1)
+        return RatFunc(cn, cd, self.e + other.e, _zprod(n1, n2), _zprod(d1, d2))
 
     def inverse(self):
         cn = self.cn
         if not cn:
             raise ZeroDivisionError("division by zero in Q(t)")
         if cn < 0:
-            return RatFunc(-self.cd, -cn, self.dp, self.np)
-        return RatFunc(self.cd, cn, self.dp, self.np)
+            return RatFunc(-self.cd, -cn, -self.e, self.dp, self.np)
+        return RatFunc(self.cd, cn, -self.e, self.dp, self.np)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -718,34 +707,33 @@ class RatFunc:
         if not x or not self.cn:
             return RF_ZERO
         cn, cd = _qmul(self.cn, self.cd, x.numerator, x.denominator)
-        return RatFunc(cn, cd, self.np, self.dp)
+        return RatFunc(cn, cd, self.e, self.np, self.dp)
 
     def derivative(self) -> "RatFunc":
-        if not self.cn or (self.np == (1,) and self.dp == (1,)):
+        e, n, d = self.e, self.np, self.dp
+        if not self.cn or (not e and n == (1,) and d == (1,)):
             return RF_ZERO
-        n, d = list(self.np), list(self.dp)
-        dn = zderiv(n)
-        if d == [1]:
-            return RatFunc._reduced(self.cn, self.cd, dn, [1]) if dn else RF_ZERO
-        dd = zderiv(d)
-        u = zsub(zmul(dn, d), zmul(n, dd))
-        if not u:
-            return RF_ZERO
-        return RatFunc._reduced(self.cn, self.cd, u, zmul(d, d))
+        # (t^e n/d)' = t^(e-1) (e n d + t (n' d - n d')) / d^2
+        if d == (1,):
+            u = zadd(zscale(n, e), [0] + zderiv(n))
+            return RatFunc._reduced(self.cn, self.cd, e - 1, u, d)
+        w = zsub(zmul(zderiv(n), d), _zprod(n, zderiv(d)))
+        u = zadd(zscale(_zprod(n, d), e), [0] + w)
+        return RatFunc._reduced(self.cn, self.cd, e - 1, u, zmul(d, d))
 
     def evaluate(self, x):
         if not self.cn:
             return Fraction(0)
         d = zeval(self.dp, x)
-        if not d:
+        if not d or (self.e < 0 and not x):
             raise ZeroDivisionError("pole of rational function")
-        return self.c * zeval(self.np, x) / d
+        return self.c * Fraction(x) ** self.e * zeval(self.np, x) / d
 
     # -- printing -----------------------------------------------------
     def _display_pair(self):
         """Numerator/denominator as integer polynomials for printing."""
-        num = UniPoly(zscale(list(self.np), self.cn))
-        den = UniPoly(zscale(list(self.dp), self.cd))
+        num = UniPoly([0] * max(self.e, 0) + zscale(self.np, self.cn))
+        den = UniPoly([0] * max(-self.e, 0) + zscale(self.dp, self.cd))
         return num, den
 
     def __str__(self):
@@ -762,9 +750,9 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-RF_ZERO = RatFunc(0, 1, (1,), (1,))
-RF_ONE = RatFunc(1, 1, (1,), (1,))
-RF_T = RatFunc(1, 1, (0, 1), (1,))
+RF_ZERO = RatFunc(0, 1, 0, (1,), (1,))
+RF_ONE = RatFunc(1, 1, 0, (1,), (1,))
+RF_T = RatFunc(1, 1, 1, (1,), (1,))
 
 
 def rf(x) -> RatFunc:

@@ -144,9 +144,9 @@ def pairing_tseries(model: ModelSpec, h: MPoly, order: int) -> UniPoly:
     hw = max((_weight(e) for e in h.terms), default=0)
     hpoly = {}
     for e, c in h.terms.items():
-        if c.dp != (1,):
+        if c.dp != (1,) or c.e < 0:
             raise ValueError("pairing_tseries needs denominator-free coefficients")
-        hpoly[e] = [x * c.c for x in c.np]
+        hpoly[e] = [0] * c.e + [x * c.c for x in c.np]
     wmax = order * k + hw
     f = _as_frac_dict(build_f(model))
     g = _as_frac_dict(build_g(model))

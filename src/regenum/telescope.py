@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import gcd as _igcd
 
-from .exactnum import RatFunc, UniPoly, zcontent, zdivexact, zgcd, zgcd_split, zkron, zmul, zneg, zscale, zunkron
+from .exactnum import RatFunc, UniPoly, zcontent, zdivexact, zgcd, zgcd_split, zkron, zmul, zneg, zscale, zunkron, zval
 from .models import ModelSpec, build_g, build_generators
 from .modgb import eta_embed, extract_reducers, is_dominant, module_buchberger
 from .polyring import MPoly, add_term, exp_div, exp_divides, grevlex_key, stairs_and_dim
@@ -129,9 +129,7 @@ def replay(s: MPoly, shat: MPoly, trace, basis: ReductionBasis) -> bool:
 def _even_part(a):
     """``(v, a[v::2])`` when the non-zero polynomial a is t^v * A(t^2),
     else None."""
-    v = 0
-    while not a[v]:
-        v += 1
+    v = zval(a)
     return None if any(a[v + 1::2]) else (v, a[v::2])
 
 
@@ -219,19 +217,28 @@ class KernelAccumulator:
         the dependency cofactors as integer UniPolys (index = row)."""
         idx = self.count
         self.count += 1
+        # common denominator t^s * den: the lcm of the t-free parts
+        # cd*dp by gcds, the power of t as one shift
         den = [1]
+        s = 0
         for c in coords:
-            if not c.is_zero():
-                extra = zscale(list(c.dp), c.cd)
-                _, _, extra = zgcd_split(den, extra)
-                den = zmul(den, extra)
+            if c.cn:
+                s = max(s, -c.e)
+                if c.cd != 1 or c.dp != (1,):
+                    extra = zscale(c.dp, c.cd)
+                    if den == [1]:
+                        den = extra
+                    else:
+                        _, _, extra = zgcd_split(den, extra)
+                        den = zmul(den, extra)
         row = []
         for c in coords:
-            if c.is_zero():
+            if not c.cn:
                 row.append([])
             else:
-                q = zdivexact(den, zscale(list(c.dp), c.cd))
-                row.append(zscale(zmul(list(c.np), q), c.cn))
+                q = den if c.cd == 1 and c.dp == (1,) else zdivexact(den, zscale(c.dp, c.cd))
+                row.append([0] * (s + c.e) + zscale(q if c.np == (1,) else zmul(c.np, q), c.cn))
+        den = [0] * s + den
         cofs = {idx: den}
         # pre-elimination scaling is free: strip the integer content now
         g = zcontent(den)
@@ -258,14 +265,17 @@ class KernelAccumulator:
             if row[col]:
                 self.rows.append((col, row, cofs, row[col]))
                 return None
-        # dependent: strip the full content once, then normalize the sign
-        # on the first non-zero cofactor
+        # dependent: strip the full content once -- the power of t by the
+        # least valuation, the rest by gcds of the t-free parts -- then
+        # normalize the sign on the first non-zero cofactor
+        v = min(map(zval, cofs.values()))
         g = []
         for cs in cofs.values():
-            g = zgcd(g, cs) if g else list(cs)
+            cs = cs[zval(cs):]
+            g = zgcd(g, cs) if g else cs
             if g == [1]:
                 break
-        out = [cofs.get(i, []) for i in range(idx + 1)]
+        out = [cofs.get(i, [])[v:] for i in range(idx + 1)]
         if g and g != [1]:
             out = [zdivexact(cs, g) if cs else [] for cs in out]
         for cs in out:

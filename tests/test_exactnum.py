@@ -90,14 +90,16 @@ class TestRatFuncArith:
 
 
 def assert_canonical(x):
-    """(cn/cd) * np/dp with a reduced scalar pair, cd > 0, and np, dp
-    coprime, primitive, positive leading coefficients; zero is 0/1 * 1/1."""
-    assert type(x.cn) is int and type(x.cd) is int
+    """(cn/cd) * t^e * np/dp with a reduced scalar pair, cd > 0, an int
+    exponent, and np, dp coprime, primitive, with positive leading
+    coefficients and non-zero constant terms; zero is 0/1 * t^0 * 1/1."""
+    assert type(x.cn) is int and type(x.cd) is int and type(x.e) is int
     if not x.cn:
-        assert x.cd == 1 and x.np == (1,) and x.dp == (1,)
+        assert x.cd == 1 and x.e == 0 and x.np == (1,) and x.dp == (1,)
         return
     assert x.cd > 0 and math.gcd(x.cn, x.cd) == 1
     assert isinstance(x.np, tuple) and isinstance(x.dp, tuple)
+    assert x.np[0] and x.dp[0]
     assert zprim(x.np) == (1, list(x.np)) and zprim(x.dp) == (1, list(x.dp))
     assert zgcd(list(x.np), list(x.dp)) == [1]
 
@@ -246,6 +248,71 @@ class TestIntPairScalar:
             c = a.c
             assert type(c) is Fraction and (c.numerator, c.denominator) == (a.cn, a.cd)
         assert RatFunc.of(0).c == 0 and RatFunc.of(up(-6), up(4)).c == Fraction(-3, 2)
+
+
+def rand_tpow_pair(rng):
+    """A numerator and a denominator UniPoly with factors t^a and t^b, so
+    that their quotient carries t^(a - b) of either sign, and the RatFunc
+    they make."""
+    t = up(0, 1)
+    num = rand_unipoly(rng, deg=3, size=9) * t ** rng.randint(0, 4)
+    den = (rng.choice(DENS) * t ** rng.randint(0, 4)).scale(rng.choice([1, -3, 12]))
+    num = num.scale(Fraction(rng.randint(-2**30, 2**30), rng.randint(1, 2**30)))
+    return num, den, RatFunc.of(num, den)
+
+
+class TestPowerOfTExponent:
+    """Operands carrying t^j with j < 0, j == 0 and j > 0: every operation
+    against the one built by ``RatFunc.of`` from UniPoly arithmetic on the
+    numerators and denominators the operands were made from."""
+
+    def test_arithmetic(self):
+        rng = random.Random(89)
+        signs = set()
+        for _ in range(400):
+            n1, d1, a = rand_tpow_pair(rng)
+            n2, d2, b = rand_tpow_pair(rng)
+            signs.update((x.e > 0) - (x.e < 0) for x in (a, b) if not x.is_zero())
+            assert_canonical(a)
+            assert RatFunc.of(a.num, a.den) == a
+            got = {
+                "mul": (a * b, RatFunc.of(n1 * n2, d1 * d2)),
+                "add": (a + b, RatFunc.of(n1 * d2 + n2 * d1, d1 * d2)),
+                "sub": (a - b, RatFunc.of(n1 * d2 - n2 * d1, d1 * d2)),
+                "scale": (a.scale_rat(Fraction(-7, 9)), RatFunc.of(n1.scale(Fraction(-7, 9)), d1)),
+                "deriv": (a.derivative(), RatFunc.of(n1.derivative() * d1 - n1 * d1.derivative(), d1 * d1)),
+            }
+            if not a.is_zero():
+                got["inverse"] = (a.inverse(), RatFunc.of(d1, n1))
+            for name, (x, want) in got.items():
+                assert x == want, name
+                assert_canonical(x)
+        assert signs == {-1, 0, 1}
+
+    def test_sums_cancelling_low_terms(self):
+        # (1 + t)/t^2 - 1/t^2 = 1/t and t^3 + t^2 - t^2 = t^3
+        t = up(0, 1)
+        got = RatFunc.of(up(1, 1), t * t) - RatFunc.of(1, t * t)
+        assert got == RatFunc.of(1, t) and got.e == -1
+        got = RatFunc.of(up(0, 0, 1, 1)) - RatFunc.of(up(0, 0, 1))
+        assert got == RatFunc.of(up(0, 0, 0, 1)) and (got.e, got.np) == (3, (1,))
+        assert_canonical(got)
+
+    def test_evaluate_at_zero(self):
+        t = up(0, 1)
+        with pytest.raises(ZeroDivisionError):
+            RatFunc.of(up(3, 1), t * t).evaluate(0)
+        assert RatFunc.of(up(0, 0, 3, 1), up(2, 1)).evaluate(0) == 0
+        assert RatFunc.of(up(3, 1), up(2, 1)).evaluate(0) == Fraction(3, 2)
+        assert RatFunc.of(up(3, 1), t).evaluate(Fraction(1, 2)) == 7
+
+    def test_printing(self):
+        # strings printed before the exponent was kept apart
+        t = up(0, 1)
+        assert str(RatFunc.of(t ** 3)) == "t^3"
+        assert str(RatFunc.of(1, t ** 2)) == "1/(t^2)"
+        assert str(RatFunc.of(up(1, 1), t ** 4)) == "(t + 1)/(t^4)"
+        assert str(RatFunc.of((t ** 5).scale(-2), up(3, 0, 1))) == "-2*t^5/(t^2 + 3)"
 
 
 class TestDerivative:
@@ -461,7 +528,9 @@ def long_div(a, b):
 
 
 class TestPowerOfT:
-    """Operands c*t^j take a shift path; it must agree with the generic one."""
+    """Operands c*t^j, which callers outside RatFunc may pass, go through
+    the generic gcd, exact division and product; the results must agree
+    with the references."""
 
     A = (
         [3, -1, 4, 1, -5],                # content 1, constant term

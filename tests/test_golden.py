@@ -2,11 +2,13 @@
 
 The digests were recorded before the descending-sweep reductions replaced
 the rescanning loops (the two densest draws, ``me,lh,{2,5}`` and
-``me,ll,{1,3,5}``, before power-of-t operands took the shift path;
-``se,ll,{6}``, whose denominators are not all powers of t, before the
-int-pair scalar and the Kronecker kernel step), so any later change to the
-derivation's speed is held to byte-identical ODEs and reduced Groebner
-bases.
+``me,ll,{1,3,5}``, before the polynomial layer special-cased powers of t;
+the ``se,ll,{6}`` ODE before the int-pair scalar and the Kronecker kernel
+step; before RatFunc kept the power of t as an exponent, the ``se,ll,{6}``
+basis, whose derivation mixes powers of t with other denominators, and
+both ``se,la,{2,4,5}`` digests, an even-degree model whose denominators
+are all powers of t), so any later change to the derivation's speed is
+held to byte-identical ODEs and reduced Groebner bases.
 """
 
 import hashlib
@@ -35,6 +37,9 @@ GOLDEN = [
     ("me,ll,{1,3,5}", "ode", "c7b7c5695581614233cc0fc8ef86c10ecc362de05bab0efd2f584105216824bd"),
     ("me,ll,{1,3,5}", "gb", "79e2ed6b0a992710a60143751e1381a0fcadd77af9065be92872ce50e8e15b44"),
     ("se,ll,{6}", "ode", "2eff54879ab7cf6e71a2eda473188bc965e494303f5631cadc3d7c4962387aba"),
+    ("se,ll,{6}", "gb", "64529a551b8ef9efe23f0b85572b94d47fd76bfb98c1790b919b640da5d6a125"),
+    ("se,la,{2,4,5}", "ode", "afe37cd8d3cfec393e88ba9154efbdc5750f74abdc43e5cd6849c1a470405c8c"),
+    ("se,la,{2,4,5}", "gb", "b71bb3282d0f71b0af0ae34984ad31941c60177e7dd0a9c273b64da53e4f6076"),
 ]
 
 

@@ -30,9 +30,16 @@ from conftest import pipeline
 MODELS = ["se,ll,{4}", "se,ll,{5}", "me,la,{2}", "se,lh,{1,2}"]
 
 
+def folded(c):
+    """The numerator and denominator polynomials of a RatFunc with its
+    power of t folded back in: (t^max(e, 0) * np, t^max(-e, 0) * dp)."""
+    return [0] * max(c.e, 0) + list(c.np), [0] * max(-c.e, 0) + list(c.dp)
+
+
 class SchoolbookAccumulator:
-    """Reference: each step forms rc*plead - pc*m by two schoolbook
-    products and a subtraction."""
+    """Reference: denominators cleared by gcds that see the powers of t,
+    and each step forms rc*plead - pc*m by two schoolbook products and a
+    subtraction."""
 
     def __init__(self, width):
         self.width = width
@@ -45,7 +52,7 @@ class SchoolbookAccumulator:
         den = [1]
         for c in coords:
             if not c.is_zero():
-                extra = zscale(list(c.dp), c.cd)
+                extra = zscale(folded(c)[1], c.cd)
                 _, _, extra = zgcd_split(den, extra)
                 den = zmul(den, extra)
         row = []
@@ -53,8 +60,9 @@ class SchoolbookAccumulator:
             if c.is_zero():
                 row.append([])
             else:
-                q = zdivexact(den, zscale(list(c.dp), c.cd))
-                row.append(zscale(zmul(list(c.np), q), c.cn))
+                np, dp = folded(c)
+                q = zdivexact(den, zscale(dp, c.cd))
+                row.append(zscale(zmul(np, q), c.cn))
         cofs = {idx: den}
         g = zcontent(den)
         for cs in row:
@@ -168,6 +176,28 @@ class TestBareissStep:
                     row.append(RatFunc.of(num, rng.choice(dens)))
                 rows.append(row)
             assert assert_same_run(rows) == width
+
+    def test_powers_of_t_with_other_denominators(self):
+        # entries t^j * N/D with j of either sign: the accumulator clears
+        # the power of t by a shift, the reference by gcds that see it
+        rng = random.Random(97)
+        t, t1, t2 = UniPoly((0, 1)), UniPoly((-1, 1)), UniPoly((3, 2))
+        dens = [UniPoly((1,)), t, t * t, t * t1, t ** 3 * t2, t1 * t2]
+        for width in (2, 3, 4):
+            rows = []
+            for _ in range(width + 1):
+                row = []
+                for _ in range(width):
+                    num = UniPoly([rng.randint(-2**40, 2**40) for _ in range(rng.randint(1, 4))])
+                    row.append(RatFunc.of(num * t ** rng.randint(0, 3), rng.choice(dens).scale(rng.randint(1, 9))))
+                rows.append(row)
+            assert assert_same_run(rows) == width
+        # raw cofactors t^3 and -t^2*(1 + t) share t^2, stripped by valuation
+        rows = [[RatFunc.of(1, t * t)], [RatFunc.of(UniPoly((1, 1)), t ** 3)]]
+        assert assert_same_run(rows) == 1
+        acc = KernelAccumulator(1)
+        assert acc.add_row(rows[0]) is None
+        assert acc.add_row(rows[1]) == [UniPoly((1, 1)), UniPoly((0, -1))]
 
     def test_polynomials_in_t_squared(self):
         rng = random.Random(73)

@@ -150,9 +150,10 @@ class TestPipeline:
 
     def test_degree5_gcds_skip_the_heuristic(self, monkeypatch):
         # Every denominator this derivation meets is a power of t (measured,
-        # not proved for odd degrees in general), so the Groebner basis and
-        # every reduction take zgcd's shift path; only the kernel's final
-        # content strip may still meet a general gcd.
+        # not proved for odd degrees in general), which RatFunc keeps in its
+        # exponent, so the Groebner basis and every reduction make no
+        # heuristic gcd; only the kernel's final content strip may still
+        # meet a general gcd.
         model = parse_model("se,ll,{5}")
         heu_gcd, calls = exactnum._heu_gcd, []
 
@@ -168,6 +169,24 @@ class TestPipeline:
             raise AssertionError(f"heuristic gcd of {pa} and {pb}")
 
         monkeypatch.setattr(exactnum, "_heu_gcd", refuse)
+        gb = module_buchberger([eta_embed(p) for p in build_generators(model)])
+        basis = reduction_basis(extract_reducers(gb))
+        assert gb == res.gb and basis.stairs == res.basis.stairs
+        g, ghat = build_g(model), res.ghat[0]
+        for want in res.ghat[1:]:
+            ghat, _ = red(g * ghat + ghat.map_coeffs(lambda c: c.derivative()), basis)
+            assert ghat == want
+
+    def test_degree5_groebner_and_reductions_make_no_gcd_call(self, monkeypatch):
+        # With the powers of t in RatFunc's exponent, the power-of-t
+        # denominators of this derivation leave no polynomial gcd to make
+        # at all before the kernel.
+        model, res = parse_model("se,ll,{5}"), pipeline("se,ll,{5}")
+
+        def refuse(a, b):
+            raise AssertionError(f"gcd of {a} and {b}")
+
+        monkeypatch.setattr(exactnum, "zgcd", refuse)
         gb = module_buchberger([eta_embed(p) for p in build_generators(model)])
         basis = reduction_basis(extract_reducers(gb))
         assert gb == res.gb and basis.stairs == res.basis.stairs
