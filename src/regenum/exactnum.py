@@ -655,21 +655,28 @@ class RatFunc:
         g = _igcd(b1, b2)
         bb = b1 // g * b2
         s1, s2 = a1 * (b2 // g), a2 * (b1 // g)
-        # d1 = g*q1 and d2 = g*q2 with q1, q2 coprime; no gcd when one is 1
+        # d1 = g*q1 and d2 = g*q2 with q1, q2 coprime: the sum is
+        # (n1*q2 + n2*q1) / (g*q1*q2), and only g can share a factor with
+        # its numerator.  When d1 == d2 or one of them is 1, the split
+        # needs no gcd and the 1 factors enter no product.
         if d1 == d2:
-            g, q1, q2 = d1, (1,), (1,)
-        elif d1 == (1,) or d2 == (1,):
-            g, q1, q2 = (1,), d1, d2
+            g, q = d1, (1,)
+        elif d2 == (1,):
+            g, q, n2 = (1,), d1, _zprod(n2, d1)
+        elif d1 == (1,):
+            g, q, n1 = (1,), d2, _zprod(n1, d2)
         else:
             g, q1, q2 = zgcd_split(d1, d2)
-        e, nn = _tsum(s1, _zprod(n1, q2), self.e, s2, _zprod(n2, q1), other.e)
+            q, n1, n2 = _zprod(q1, q2), _zprod(n1, q2), _zprod(n2, q1)
+        e, nn = _tsum(s1, n1, self.e, s2, n2, other.e)
         if not nn:
             return RF_ZERO
         ct, nn = zprim(nn)
         if len(g) > 1 and len(nn) > 1:
             _, nn, g = zgcd_split(nn, g)
         h = _igcd(ct, bb)
-        return RatFunc(ct // h, bb // h, e, tuple(nn), _zprod(_zprod(g, q1), q2))
+        den = q if len(g) == 1 else tuple(g) if len(q) == 1 else _zprod(g, q)
+        return RatFunc(ct // h, bb // h, e, tuple(nn), den)
 
     def __neg__(self):
         if not self.cn:

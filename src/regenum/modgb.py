@@ -7,7 +7,9 @@ coefficient-wise multiplication by polynomials in p (right multiplication
 of operators by p-polynomials is commutative on d-left coefficients), so
 no new positions ever appear and a commutative Buchberger computation
 applies, with S-pairs only between elements whose leading monomials sit in
-the same position.
+the same position.  An element is one term map keyed by module monomials
+(position, p-exponent), position None for eta1, and its normal form is a
+``polyring.sweep`` over that map.
 
 From the reduced basis, the elements involving eta1 are reassembled into
 Weyl operators G = Q + R; these are the reducers driving the telescoping
@@ -19,127 +21,90 @@ polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 
 from .exactnum import RF_ONE, RatFunc
 from .polyring import (
     exp_mul,
     MPoly,
+    SparseTerms,
     add_term,
     exp_div,
     exp_divides,
     grevlex_key,
     leading_term,
     module_key,
+    sweep,
 )
 from .weyl import WeylOp, from_dleft, to_dleft
 
 
-class ModuleElem:
-    """Element of the free module: eta1 coefficient plus a map from
-    non-zero d-exponents (the d^beta eta0 positions) to coefficients."""
+class ModuleElem(SparseTerms):
+    """Element of the free module: ``terms`` maps module monomials
+    (position, p-exponent) to coefficients, with position None for eta1
+    and the non-zero d-exponent beta for d^beta eta0.
 
-    __slots__ = ("k", "eta1", "eta0")
+    ``eta1`` and ``eta0`` are read-only views of the coordinates for the
+    boundaries (embedding, reassembly, printing); the algorithms work on
+    ``terms``.
+    """
 
-    def __init__(self, k: int, eta1: MPoly, eta0=None):
+    __slots__ = ()
+
+    def __init__(self, k: int, eta1: MPoly | None = None, eta0=None):
         self.k = k
-        self.eta1 = eta1
-        self.eta0 = {b: m for b, m in (eta0 or {}).items() if not m.is_zero()}
+        self.terms = {} if eta1 is None else {(None, e): c for e, c in eta1.terms.items()}
+        for b, m in (eta0 or {}).items():
+            self.terms.update(((b, e), c) for e, c in m.terms.items())
 
-    @classmethod
-    def _of(cls, k: int, eta1: MPoly, eta0: dict) -> "ModuleElem":
-        """Wrap coordinates with no zero eta0 entry, without the filter."""
-        self = cls.__new__(cls)
-        self.k = k
-        self.eta1 = eta1
-        self.eta0 = eta0
-        return self
+    @property
+    def eta1(self) -> MPoly:
+        """The eta1 coordinate."""
+        return MPoly._of(self.k, {e: c for (pos, e), c in self.terms.items() if pos is None})
 
-    def is_zero(self) -> bool:
-        return self.eta1.is_zero() and not self.eta0
-
-    def __eq__(self, other):
-        if isinstance(other, ModuleElem):
-            return self.k == other.k and self.eta1 == other.eta1 and self.eta0 == other.eta0
-        return NotImplemented
-
-    def monomials(self):
-        """All ((position, exponent), coeff) with position None for eta1."""
-        for e, c in self.eta1.terms.items():
-            yield (None, e), c
-        for b, m in self.eta0.items():
-            for e, c in m.terms.items():
-                yield (b, e), c
+    @property
+    def eta0(self) -> dict:
+        """The non-zero d^beta eta0 coordinates as {beta: MPoly}."""
+        parts = {}
+        for (pos, e), c in self.terms.items():
+            if pos is not None:
+                parts.setdefault(pos, {})[e] = c
+        return {b: MPoly._of(self.k, m) for b, m in parts.items()}
 
     def lead(self):
         """Largest module monomial with coefficient, or None when zero."""
-        best = None
-        bk = None
-        bc = None
-        for mon, c in self.monomials():
-            key = module_key(mon)
-            if bk is None or key > bk:
-                best, bk, bc = mon, key, c
-        if best is None:
+        if not self.terms:
             return None
-        return best, bc
-
-    def coeff(self, mon) -> RatFunc:
-        pos, e = mon
-        if pos is None:
-            return self.eta1.coeff(e)
-        part = self.eta0.get(pos)
-        from .exactnum import RF_ZERO
-
-        return part.coeff(e) if part is not None else RF_ZERO
+        mon = max(self.terms, key=module_key)
+        return mon, self.terms[mon]
 
     def mul_term(self, exp, c: RatFunc) -> "ModuleElem":
         if not c:
-            return ModuleElem(self.k, MPoly(self.k))
-        return ModuleElem._of(
-            self.k,
-            self.eta1.mul_term(exp, c),
-            {b: m.mul_term(exp, c) for b, m in self.eta0.items()},
-        )
-
-    def scale(self, c: RatFunc) -> "ModuleElem":
-        if not c:
-            return ModuleElem(self.k, MPoly(self.k))
-        return ModuleElem._of(self.k, self.eta1.scale(c), {b: m.scale(c) for b, m in self.eta0.items()})
-
-    def __sub__(self, other):
-        eta0 = dict(self.eta0)
-        for b, m in other.eta0.items():
-            add_term(eta0, b, -m)
-        return ModuleElem._of(self.k, self.eta1 - other.eta1, eta0)
+            return ModuleElem(self.k)
+        return ModuleElem._of(self.k, {(pos, exp_mul(e, exp)): x * c for (pos, e), x in self.terms.items()})
 
     def __repr__(self):
         parts = []
-        if not self.eta1.is_zero():
-            parts.append(f"eta1*({self.eta1})")
-        for b in sorted(self.eta0, key=grevlex_key, reverse=True):
+        eta1, eta0 = self.eta1, self.eta0
+        if not eta1.is_zero():
+            parts.append(f"eta1*({eta1})")
+        for b in sorted(eta0, key=grevlex_key, reverse=True):
             ds = "*".join(
                 f"d{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(b) if e
             )
-            parts.append(f"{ds}.eta0*({self.eta0[b]})")
+            parts.append(f"{ds}.eta0*({eta0[b]})")
         return " + ".join(parts) if parts else "0"
 
 
 def eta_embed(a: WeylOp) -> ModuleElem:
     """Split the d-left form of an operator into eta1 / eta0 coordinates."""
-    dl = to_dleft(a)
     z = (0,) * a.k
-    eta1 = dl.get(z, MPoly(a.k))
-    eta0 = {b: m for b, m in dl.items() if b != z}
-    return ModuleElem(a.k, eta1, eta0)
+    return ModuleElem._of(a.k, {(None if b == z else b, e): c
+                                for b, m in to_dleft(a).items() for e, c in m.terms.items()})
 
 
 def module_to_weyl(elem: ModuleElem) -> WeylOp:
     """Set eta1 = eta0 = 1: back to the operator sum Q + sum d^beta c_beta."""
-    out = WeylOp.from_mpoly(elem.eta1)
-    if elem.eta0:
-        out = out + from_dleft(elem.k, elem.eta0)
-    return out
+    return from_dleft(elem.k, {(0,) * elem.k: elem.eta1, **elem.eta0})
 
 
 def _sweep_key(mon):
@@ -149,56 +114,45 @@ def _sweep_key(mon):
 
 
 def _normal_form(elem, basis, leads, cof=None, basis_cofs=None):
-    """Full normal form of elem against monic basis elements.
+    """Full normal form of elem against monic basis elements, by ``sweep``.
 
     Each step cancels the largest reducible monomial with the first basis
-    element whose leading monomial divides it.  One descending sweep does
-    this: a heap hands out the monomials of one mutable term map from the
-    largest down, each step's subtrahend is folded into the map in place,
-    and a monomial found irreducible is never tested again.  Because the
-    basis is monic, every term a step subtracts lies below its target, so
-    the next reducible monomial is always the next one popped.
+    element whose leading monomial divides it.  The basis is monic, so
+    every term a step subtracts lies below its target.
 
     When cofactor lists are given, cof must hold a generator expression of
     elem on entry; it is updated in place and expresses the result on exit.
     """
-    k = elem.k
-    terms = dict(elem.monomials())
-    seen = set(terms)
-    heap = [(_sweep_key(mon), mon) for mon in terms]
-    heapify(heap)
     cof_terms = None if cof is None else [dict(c.terms) for c in cof]
-    while heap:
-        mon = heappop(heap)[1]
-        c = terms.get(mon)
-        if c is None:
-            continue
+
+    def step(mon, c):
         pos, e = mon
         for bi, (bpos, bexp) in enumerate(leads):
             if bpos == pos and exp_divides(bexp, e):
                 break
         else:
-            continue
+            return None
         shift = exp_div(e, bexp)
-        for m, x in basis[bi].mul_term(shift, c).monomials():
-            if m not in seen:
-                seen.add(m)
-                heappush(heap, (_sweep_key(m), m))
-            add_term(terms, m, -x)
-        if cof is not None:
+        c = -c
+        if cof_terms is not None:
             for out, bc in zip(cof_terms, basis_cofs[bi]):
                 for be, x in bc.terms.items():
-                    add_term(out, exp_mul(be, shift), -(x * c))
+                    add_term(out, exp_mul(be, shift), x * c)
+        return basis[bi].mul_term(shift, c).terms
+
+    terms = dict(elem.terms)
+    sweep(terms, _sweep_key, step)
     if cof is not None:
-        cof[:] = [MPoly._of(k, t) for t in cof_terms]
-    eta1 = {}
-    eta0 = {}
-    for (pos, e), c in terms.items():
-        if pos is None:
-            eta1[e] = c
-        else:
-            eta0.setdefault(pos, {})[e] = c
-    return ModuleElem._of(k, MPoly._of(k, eta1), {b: MPoly._of(k, m) for b, m in eta0.items()})
+        cof[:] = [MPoly._of(elem.k, t) for t in cof_terms]
+    return ModuleElem._of(elem.k, terms)
+
+
+def _monic(elem, cof):
+    """(elem / lc, leading monomial, cof / lc) for lc the leading
+    coefficient; cof may be None."""
+    lm, lc = elem.lead()
+    inv = lc.inverse()
+    return elem.scale(inv), lm, None if cof is None else [c.scale(inv) for c in cof]
 
 
 def module_buchberger(gens, with_cofactors=False):
@@ -219,11 +173,7 @@ def module_buchberger(gens, with_cofactors=False):
     cofs = []
 
     def add_element(elem, cof):
-        lm, lc = elem.lead()
-        elem = elem.scale(lc.inverse())
-        if cof is not None:
-            inv = lc.inverse()
-            cof = [c.scale(inv) for c in cof]
+        elem, lm, cof = _monic(elem, cof)
         basis.append(elem)
         leads.append(lm)
         cofs.append(cof)
@@ -293,10 +243,10 @@ def module_buchberger(gens, with_cofactors=False):
         s = add_element(red, cof)
         update_pairs(s)
 
-    return _autoreduce(basis, leads, cofs, ngens, k, with_cofactors)
+    return _autoreduce(basis, leads, cofs, with_cofactors)
 
 
-def _autoreduce(basis, leads, cofs, ngens, k, with_cofactors):
+def _autoreduce(basis, leads, cofs, with_cofactors):
     # drop elements whose lead is divisible by another's lead
     keep = []
     for i, (pos, e) in enumerate(leads):
@@ -319,20 +269,11 @@ def _autoreduce(basis, leads, cofs, ngens, k, with_cofactors):
         for i in range(len(basis)):
             others = basis[:i] + basis[i + 1 :]
             other_leads = leads[:i] + leads[i + 1 :]
-            if with_cofactors:
-                cof = list(cofs[i])
-                red = _normal_form(basis[i], others, other_leads, cof, cofs[:i] + cofs[i + 1 :])
-            else:
-                red = _normal_form(basis[i], others, other_leads)
-                cof = None
-            if not (red == basis[i]):
+            cof = list(cofs[i]) if with_cofactors else None
+            red = _normal_form(basis[i], others, other_leads, cof, cofs[:i] + cofs[i + 1 :])
+            if red != basis[i]:
                 changed = True
-                lm, lc = red.lead()
-                inv = lc.inverse()
-                basis[i] = red.scale(inv)
-                leads[i] = lm
-                if with_cofactors:
-                    cofs[i] = [c.scale(inv) for c in cof]
+                basis[i], leads[i], cofs[i] = _monic(red, cof)
 
     order = sorted(range(len(basis)), key=lambda i: module_key(leads[i]))
     basis = [basis[i] for i in order]
@@ -360,10 +301,11 @@ def extract_reducers(gb) -> list:
     """Reassemble operators from the basis elements that involve eta1."""
     out = []
     for elem in gb:
-        if elem.eta1.is_zero():
+        q = elem.eta1
+        if q.is_zero():
             continue
-        m, c = leading_term(elem.eta1)
-        out.append(Reducer(g=module_to_weyl(elem), q=elem.eta1, m=m, c=c))
+        m, c = leading_term(q)
+        out.append(Reducer(g=module_to_weyl(elem), q=q, m=m, c=c))
     if not out:
         raise ValueError("no candidate reducers: no basis element involves eta1")
     return out

@@ -11,13 +11,21 @@ order them; larger keys are larger monomials:
 * ``pd_key`` - on pairs (alpha, beta) of p- and d-exponents: the p-part
   decides first (so every p_i sits lexicographically above every power
   product of the d_j), with the d-part compared by ``grevlex_key``;
-* ``module_key`` - on (position, p-exponent) pairs for the free module with
-  basis eta1 and the d^beta eta0: eta1 above everything, eta0 positions by
-  ``grevlex_key`` on beta, ties within a position by ``grevlex_key``.
+* ``module_key`` - on module monomials (position, p-exponent) of the free
+  module with basis eta1 and the d^beta eta0, position None standing for
+  eta1: eta1 above everything, eta0 positions by ``grevlex_key`` on beta,
+  ties within a position by ``grevlex_key``.
+
+``SparseTerms`` is the term map shared by polynomials (keys p-exponents),
+Weyl operators (keys (alpha, beta)) and module elements (keys module
+monomials).  ``sweep`` is the one reduction loop: both normal forms, the
+Groebner one and the telescoping one, are a ``sweep`` with their own order
+and divisor rule.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from itertools import product
 
 from .exactnum import RF_ONE, RF_ZERO, Fraction, RatFunc, rf
@@ -67,9 +75,39 @@ def add_term(out: dict, key, c):
         del out[key]
 
 
+def sweep(terms: dict, key, step):
+    """Reduce the term map ``terms`` in place, from its largest monomial down.
+
+    A heap hands out the monomials by ascending ``(key(m), m)``, so key
+    must reverse the monomial order (the monomial itself breaks ties).
+    ``step(m, c)`` returns None when m is irreducible, else the map of
+    terms to add, the step's subtrahend already negated; these are added
+    into ``terms`` in place, and their new monomials join the heap.  A
+    monomial found irreducible is never tested again, which is right as
+    long as every term a step adds lies below its target: then the next
+    reducible monomial is always the next one popped.
+    """
+    seen = set(terms)
+    heap = [(key(m), m) for m in terms]
+    heapify(heap)
+    while heap:
+        mon = heappop(heap)[1]
+        c = terms.get(mon)
+        if c is None:
+            continue
+        sub = step(mon, c)
+        if sub is None:
+            continue
+        for m, x in sub.items():
+            if m not in seen:
+                seen.add(m)
+                heappush(heap, (key(m), m))
+            add_term(terms, m, x)
+
+
 class SparseTerms:
-    """The linear part shared by MPoly and WeylOp: a map from monomials to
-    non-zero coefficients in ambient dimension k.
+    """The linear part shared by MPoly, WeylOp and ModuleElem: a map from
+    monomials to non-zero coefficients in ambient dimension k.
 
     Zero coefficients are never stored; zero is the empty map.  Instances
     are treated as immutable, and results keep the operand's class.  The

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
 from math import gcd as _igcd
 
 from .exactnum import RatFunc, UniPoly, zcontent, zdivexact, zgcd, zgcd_split, zkron, zmul, zneg, zscale, zunkron, zval
 from .models import ModelSpec, build_g, build_generators
 from .modgb import eta_embed, extract_reducers, is_dominant, module_buchberger
-from .polyring import MPoly, add_term, exp_div, exp_divides, grevlex_key, stairs_and_dim
+from .polyring import MPoly, exp_div, exp_divides, grevlex_key, stairs_and_dim, sweep
 from .seqtools import ODE
 from .weyl import apply_op
 
@@ -66,17 +65,19 @@ def reduction_basis(reducers) -> ReductionBasis:
     return ReductionBasis(reducers, stairs)
 
 
+def _neg_degree(e):
+    """Heap key of an exponent in ``red``'s sweep: with ties broken by the
+    exponent itself, ascending keys are descending ``grevlex_key``."""
+    return -sum(e)
+
+
 def red(s: MPoly, basis: ReductionBasis, want_trace: bool = False):
-    """Reduce s to its normal form under the stairs.
+    """Reduce s to its normal form under the stairs, by ``polyring.sweep``.
 
     Each step cancels the largest monomial that some m_j divides, using the
-    largest such m_j (ties by index).  One descending sweep does this: a
-    heap hands out the monomials of one mutable term map in decreasing
-    ``grevlex_key`` order, each step's subtrahend G_j . (c p^shift) is
-    folded into the map in place, and a monomial found irreducible is never
-    tested again.  Dominance (checked by ``reduction_basis``) puts every
-    term a step subtracts below its target, so the next reducible monomial
-    is always the next one popped.
+    largest such m_j (ties by index), by subtracting G_j . (c p^shift).
+    Dominance (checked by ``reduction_basis``) puts every term a step
+    subtracts below its target.
 
     Returns (s-check, trace); the trace lists (j, coeff, exponent) per
     elimination step so that s == s-check + sum_j G_j . sigma_j exactly,
@@ -86,30 +87,22 @@ def red(s: MPoly, basis: ReductionBasis, want_trace: bool = False):
     # reducer indices by decreasing m; the stable sort keeps ties by index
     order = sorted(range(len(reducers)), key=lambda j: grevlex_key(reducers[j].m), reverse=True)
     trace = [] if want_trace else None
-    terms = dict(s.terms)
-    seen = set(terms)
-    heap = [(-sum(e), e) for e in terms]
-    heapify(heap)
-    while heap:
-        e = heappop(heap)[1]
-        c = terms.get(e)
-        if c is None:
-            continue
+
+    def step(e, c):
         for j in order:
             if exp_divides(reducers[j].m, e):
                 break
         else:
-            continue
+            return None
         r = reducers[j]
         c = c / r.c
         shift = exp_div(e, r.m)
-        for m, x in apply_op(r.g, MPoly.term(s.k, shift, c)).terms.items():
-            if m not in seen:
-                seen.add(m)
-                heappush(heap, (-sum(m), m))
-            add_term(terms, m, -x)
         if want_trace:
             trace.append((j, c, shift))
+        return apply_op(r.g, MPoly.term(s.k, shift, -c)).terms
+
+    terms = dict(s.terms)
+    sweep(terms, _neg_degree, step)
     return MPoly._of(s.k, terms), trace
 
 

@@ -172,16 +172,9 @@ def from_dleft(k: int, parts) -> WeylOp:
     """The operator sum_beta d^beta parts[beta](p), back in
     coefficient-left normal form (round-trips ``to_dleft`` exactly)."""
     out = WeylOp(k)
+    z = (0,) * k
     for beta, m in parts.items():
-        expanded = {}
-        for gamma, c in m.terms.items():
-            for nu, w in _commute_weights(beta, gamma):
-                mon = (
-                    tuple(g - n for g, n in zip(gamma, nu)),
-                    tuple(b - n for b, n in zip(beta, nu)),
-                )
-                add_term(expanded, mon, c.scale_rat(w))
-        out = out + WeylOp(k, expanded)
+        out = out + weyl_mul(WeylOp(k, {(z, beta): RF_ONE}), WeylOp.from_mpoly(m))
     return out
 
 

@@ -18,7 +18,7 @@ from regenum.oracle import pairing_tseries
 from regenum.polyring import MPoly
 from regenum.weyl import WeylOp, apply_op, parse_op, right_mul_poly, weyl_mul
 
-from conftest import pipeline, rand_mpoly
+from conftest import pipeline, rand_mpoly, rand_weylop
 
 
 def poly(text, k):
@@ -42,6 +42,25 @@ class TestEtaEmbed:
         em = eta_embed(parse_op("d1", 2))
         assert em.eta1.is_zero()
         assert em.eta0 == {(1, 0): MPoly.const(2, 1)}
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_round_trips(self, k, rng):
+        # the term map against the coordinate views and the operator
+        for _ in range(40):
+            a = rand_weylop(rng, k, nterms=5, maxdeg=3)
+            em = eta_embed(a)
+            assert module_to_weyl(em) == a
+            assert ModuleElem(k, em.eta1, em.eta0) == em
+
+    def test_repr_of_p4_generators(self):
+        # strings recorded before the coordinates became one term map
+        m = parse_model("se,ll,{4}")
+        assert [repr(eta_embed(g)) for g in build_generators(m)] == [
+            "eta1*(-(t/6)*p1^3 - (t/2)*p1*p2 - (t/3)*p3 + p1) + d1.eta0*(-1)",
+            "eta1*((t/2)*p1^2 + ((t + 2)/2)*p2 + 1) + d2.eta0*(2)",
+            "eta1*(p3 - t*p1) + d3.eta0*(-3)",
+            "eta1*(p4 + t - 1) + d4.eta0*(4)",
+        ]
 
 
 class TestBuchberger:

@@ -22,7 +22,7 @@ def rescan_normal_form(elem, basis, leads, cof=None, basis_cofs=None):
     lowest-index divisor, copy the element, repeat."""
     while True:
         target = None
-        for mon, c in sorted(elem.monomials(), key=lambda t: module_key(t[0]), reverse=True):
+        for mon, c in sorted(elem.terms.items(), key=lambda t: module_key(t[0]), reverse=True):
             pos, e = mon
             for bi, (bpos, bexp) in enumerate(leads):
                 if bpos == pos and exp_divides(bexp, e):
