@@ -5,7 +5,7 @@ from .exactnum import Rat, RatFunc, UniPoly, unipoly_gcd_content
 from .models import ModelSpec, build_f, build_g, build_generators, parse_model
 from .modgb import ModuleElem, Reducer, eta_embed, extract_reducers, is_dominant, module_buchberger
 from .oracle import TruncSeries, graph_count_dp, scalar_series, trunc_pairing
-from .polyring import MPoly, leading_term, stairs_and_dim
+from .polyring import MPoly, stairs_and_dim
 from .seqtools import ODE, Recurrence, indicial_check, ode_to_rec, rec_counts, unroll
 from .telescope import (
     FailDominance,
@@ -42,7 +42,6 @@ __all__ = [
     "scalar_series",
     "trunc_pairing",
     "MPoly",
-    "leading_term",
     "stairs_and_dim",
     "ODE",
     "Recurrence",

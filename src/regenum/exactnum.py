@@ -616,9 +616,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return not self.cn
 
-    def is_one(self) -> bool:
-        return self.cn == 1 and self.cd == 1 and self.is_constant()
-
     def is_constant(self) -> bool:
         return not self.e and self.np == (1,) and self.dp == (1,)
 
@@ -696,7 +693,10 @@ class RatFunc:
             _, n1, d2 = zgcd_split(n1, d2)
         if d1 != (1,) and n2 != (1,):
             _, n2, d1 = zgcd_split(n2, d1)
-        return RatFunc(cn, cd, self.e + other.e, _zprod(n1, n2), _zprod(d1, d2))
+        # a length-1 primitive is 1: the other factor is the product
+        np = n2 if len(n1) == 1 else n1 if len(n2) == 1 else zmul(n1, n2)
+        dp = d2 if len(d1) == 1 else d1 if len(d2) == 1 else zmul(d1, d2)
+        return RatFunc(cn, cd, self.e + other.e, tuple(np), tuple(dp))
 
     def inverse(self):
         cn = self.cn

@@ -11,11 +11,16 @@ the same position.  An element is one term map keyed by module monomials
 (position, p-exponent), position None for eta1, and its normal form is a
 ``polyring.sweep`` over that map.
 
-From the reduced basis, the elements involving eta1 are reassembled into
-Weyl operators G = Q + R; these are the reducers driving the telescoping
-reduction, provided each is dominant: every monomial p^a d^b of the monic
-G - m must raise degree by strictly less than deg m when applied to a
-polynomial.
+``module_buchberger`` is the one place that normalises the basis: every
+element it adds is made monic, and one inter-reduction pass over the
+minimal basis leaves it reduced (the leads do not change, so no element
+needs a second pass or a new scale).  Since eta1 is the first position,
+an element with an eta1 part leads there with coefficient 1.  These
+elements are reassembled into Weyl operators G = Q + R; they are the
+reducers driving the telescoping reduction, provided each is dominant:
+G has coefficient 1 at its leading monomial m, and every other monomial
+p^a d^b of G raises degree by strictly less than deg m when applied to
+a polynomial.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from .polyring import (
     exp_div,
     exp_divides,
     grevlex_key,
-    leading_term,
     module_key,
     sweep,
 )
@@ -147,14 +151,6 @@ def _normal_form(elem, basis, leads, cof=None, basis_cofs=None):
     return ModuleElem._of(elem.k, terms)
 
 
-def _monic(elem, cof):
-    """(elem / lc, leading monomial, cof / lc) for lc the leading
-    coefficient; cof may be None."""
-    lm, lc = elem.lead()
-    inv = lc.inverse()
-    return elem.scale(inv), lm, None if cof is None else [c.scale(inv) for c in cof]
-
-
 def module_buchberger(gens, with_cofactors=False):
     """Reduced monic Groebner basis of the right Q(t)[p]-module generated
     by gens under the module ordering.
@@ -173,10 +169,12 @@ def module_buchberger(gens, with_cofactors=False):
     cofs = []
 
     def add_element(elem, cof):
-        elem, lm, cof = _monic(elem, cof)
-        basis.append(elem)
+        # the only scaling of the basis: every element enters monic
+        lm, lc = elem.lead()
+        inv = lc.inverse()
+        basis.append(elem.scale(inv))
         leads.append(lm)
-        cofs.append(cof)
+        cofs.append(None if cof is None else [c.scale(inv) for c in cof])
         return len(basis) - 1
 
     # pair bookkeeping: (i, j) -> lcm exponent; Gebauer-Moeller chain pruning
@@ -263,17 +261,14 @@ def _autoreduce(basis, leads, cofs, with_cofactors):
     leads = [leads[i] for i in keep]
     cofs = [cofs[i] for i in keep]
 
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1 :]
-            other_leads = leads[:i] + leads[i + 1 :]
-            cof = list(cofs[i]) if with_cofactors else None
-            red = _normal_form(basis[i], others, other_leads, cof, cofs[:i] + cofs[i + 1 :])
-            if red != basis[i]:
-                changed = True
-                basis[i], leads[i], cofs[i] = _monic(red, cof)
+    # one pass: a normal form against the other leads keeps an element's
+    # lead with coefficient 1, so the leads, and with them every element
+    # already reduced, stay as they are
+    for i in range(len(basis)):
+        cof = list(cofs[i]) if with_cofactors else None
+        basis[i] = _normal_form(basis[i], basis[:i] + basis[i + 1 :], leads[:i] + leads[i + 1 :],
+                                cof, cofs[:i] + cofs[i + 1 :])
+        cofs[i] = cof
 
     order = sorted(range(len(basis)), key=lambda i: module_key(leads[i]))
     basis = [basis[i] for i in order]
@@ -285,27 +280,25 @@ def _autoreduce(basis, leads, cofs, with_cofactors):
 
 @dataclass
 class Reducer:
-    """A dominant operator G = Q + R with Q the eta1 (derivation-free)
-    part, m its leading monomial and c the leading coefficient."""
+    """A reducer (G, m): the operator G = Q + R reassembled from a monic
+    basis element whose lead m lies in its eta1 part Q, so that G has
+    coefficient 1 at m (``is_dominant`` checks this)."""
 
     g: WeylOp
-    q: MPoly
     m: tuple
-    c: RatFunc
 
     def __repr__(self):
         return f"Reducer(m=p^{self.m}, G={self.g})"
 
 
 def extract_reducers(gb) -> list:
-    """Reassemble operators from the basis elements that involve eta1."""
+    """Reassemble operators from the basis elements that involve eta1,
+    which are those whose lead lies in eta1."""
     out = []
     for elem in gb:
-        q = elem.eta1
-        if q.is_zero():
-            continue
-        m, c = leading_term(q)
-        out.append(Reducer(g=module_to_weyl(elem), q=q, m=m, c=c))
+        (pos, m), _ = elem.lead()
+        if pos is None:
+            out.append(Reducer(g=module_to_weyl(elem), m=m))
     if not out:
         raise ValueError("no candidate reducers: no basis element involves eta1")
     return out
@@ -314,28 +307,22 @@ def extract_reducers(gb) -> list:
 def is_dominant(red: Reducer) -> bool:
     """Certificate that reducing by G cancels leading terms exactly.
 
-    Acting with a monomial p^a d^b on a polynomial shifts total degree by
-    w = sum(a) - sum(b).  Every monomial of the monic G besides m itself
-    must either shift by strictly less than deg m, or shift by exactly
-    deg m while landing strictly below under the graded order: for u the
-    leading monomial of s, the term contributes p^(a+u-b), which stays
-    below m*u precisely when p^a < m*p^b.  Then the leading monomial of
+    G must have coefficient 1 at m.  Acting with a monomial p^a d^b on a
+    polynomial shifts total degree by w = sum(a) - sum(b).  Every other
+    monomial of G must either shift by strictly less than deg m, or shift
+    by exactly deg m while landing strictly below under the graded order:
+    for u the leading monomial of s, the term contributes p^(a+u-b), which
+    stays below m*u precisely when p^a < m*p^b.  Then the leading term of
     G.s is m times that of s for any non-zero s.
     """
     degm = sum(red.m)
-    monic = red.g if red.c.is_one() else red.g.scale(red.c.inverse())
-    zero = (0,) * red.g.k
-    mkey = (red.m, zero)
-    for (alpha, beta), c in monic.terms.items():
-        if (alpha, beta) == mkey:
-            if not (c - RF_ONE).is_zero():
-                return False
-            continue
+    mkey = (red.m, (0,) * red.g.k)
+    if red.g.terms.get(mkey) != RF_ONE:
+        return False
+    for alpha, beta in red.g.terms:
         w = sum(alpha) - sum(beta)
-        if w < degm:
+        if w < degm or (alpha, beta) == mkey:
             continue
-        if w > degm:
-            return False
-        if grevlex_key(alpha) >= grevlex_key(exp_mul(red.m, beta)):
+        if w > degm or grevlex_key(alpha) >= grevlex_key(exp_mul(red.m, beta)):
             return False
     return True

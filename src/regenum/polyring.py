@@ -246,15 +246,6 @@ class MPoly(SparseTerms):
         return f"MPoly({self})"
 
 
-def leading_term(a: MPoly):
-    """Maximal monomial under ``grevlex_key`` with its coefficient; error on
-    the zero polynomial."""
-    if a.is_zero():
-        raise ValueError("leading term of zero polynomial")
-    e = max(a.terms, key=grevlex_key)
-    return e, a.terms[e]
-
-
 def stairs_and_dim(lead_monomials):
     """Monomials under the stairs of the monomial ideal, or None.
 

@@ -95,7 +95,6 @@ def red(s: MPoly, basis: ReductionBasis, want_trace: bool = False):
         else:
             return None
         r = reducers[j]
-        c = c / r.c
         shift = exp_div(e, r.m)
         if want_trace:
             trace.append((j, c, shift))

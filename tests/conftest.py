@@ -13,7 +13,16 @@ from regenum.models import parse_model
 from regenum.oracle import scalar_series
 from regenum.polyring import MPoly
 from regenum.telescope import run_pipeline
-from regenum.weyl import WeylOp
+from regenum.weyl import WeylOp, parse_op
+
+
+def up(*cs) -> UniPoly:
+    return UniPoly(cs)
+
+
+def poly(text, k) -> MPoly:
+    """The polynomial part of an operator written as text."""
+    return parse_op(text, k).poly_part()
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,7 @@ from math import factorial
 import pytest
 
 from regenum.cli import main as cli_main
-from regenum.exactnum import RatFunc, UniPoly
+from regenum.exactnum import RatFunc
 from regenum.modgb import Reducer, is_dominant
 from regenum.models import build_g, parse_model
 from regenum.oracle import graph_count_dp, pairing_tseries, scalar_series, trunc_pairing
@@ -22,11 +22,7 @@ from regenum.seqtools import ODE, indicial_check, ode_to_rec, rec_counts, unroll
 from regenum.telescope import FailDominance, red, reduction_basis, replay, run_pipeline
 from regenum.weyl import adjoint, apply_op, parse_op, weyl_mul
 
-from conftest import pipeline, rand_mpoly, rand_weylop
-
-
-def up(*cs):
-    return UniPoly(cs)
+from conftest import pipeline, rand_mpoly, rand_weylop, up
 
 
 A5 = up(-4, 8, 2, 0, 2, 1)  # t^5 + 2t^4 + 2t^2 + 8t - 4
@@ -244,9 +240,7 @@ class TestCriterion6Properties:
                 assert is_dominant(r)
         bad = Reducer(
             g=parse_op("p1 + p2^2", 2),
-            q=parse_op("p1 + p2^2", 2).poly_part(),
             m=(1, 0),
-            c=RatFunc.from_rat(1),
         )
         with pytest.raises(FailDominance) as exc:
             reduction_basis([bad])

@@ -20,11 +20,7 @@ from regenum.exactnum import (
     zprim,
 )
 
-from conftest import rand_rat, rand_ratfunc, rand_unipoly
-
-
-def up(*cs):
-    return UniPoly(cs)
+from conftest import rand_rat, rand_ratfunc, rand_unipoly, up
 
 
 class TestRatFuncNormalization:
@@ -162,6 +158,35 @@ class TestRatFuncShortcuts:
         got = RatFunc.of(up(0, 1), den) + RatFunc.of(up(-1), den)
         assert got == RatFunc.of(1, up(2, 1))
         assert_canonical(got)
+
+    def test_products_with_a_unit_part_call_no_zprod(self, monkeypatch):
+        # every product has an np or dp part 1 (the power of t is kept
+        # apart, so 1/t^2 has dp 1); none goes through the product helper,
+        # and the results keep tuple parts
+        rng = random.Random(47)
+        pairs = [
+            ((up(1, 1), up(1)), (up(1), up(1, 3, 2))),  # split leaves np == [1]
+            ((up(1, 1), up(0, 0, 1)), (up(3), up(2, 1))),
+            ((up(-1, 2), up(1)), (up(3, 1), up(0, 1))),
+            ((up(5), up(1, 1, 1)), (up(0, 2, 7), up(1))),
+        ]
+        for _ in range(100):
+            pairs.append(((rand_unipoly(rng) or up(1), rng.choice([up(1), up(0, 1), up(0, 0, 1)])),
+                          (up(rand_rat(rng) or 1), rand_unipoly(rng) or up(1))))
+        cases = []
+        for (n1, d1), (n2, d2) in pairs:
+            a, b = RatFunc.of(n1, d1), RatFunc.of(n2, d2)
+            assert (1,) in (a.np, a.dp, b.np, b.dp)
+            cases.append((a, b, RatFunc.of(n1 * n2, d1 * d2)))
+
+        def boom(a, b):
+            raise AssertionError("_zprod called")
+
+        monkeypatch.setattr(exactnum, "_zprod", boom)
+        for a, b, want in cases:
+            for got in (a * b, b * a):
+                assert got == want
+                assert_canonical(got)
 
     def test_zmul_unit_operand(self):
         rng = random.Random(43)

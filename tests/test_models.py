@@ -15,9 +15,7 @@ from regenum.models import (
 )
 from regenum.weyl import parse_op
 
-
-def poly(text, k):
-    return parse_op(text, k).poly_part()
+from conftest import poly
 
 
 class TestPartitions:

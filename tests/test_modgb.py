@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from regenum import modgb
 from regenum.exactnum import RF_ONE, RF_T, RatFunc, UniPoly
 from regenum.modgb import (
     ModuleElem,
@@ -18,11 +19,7 @@ from regenum.oracle import pairing_tseries
 from regenum.polyring import MPoly
 from regenum.weyl import WeylOp, apply_op, parse_op, right_mul_poly, weyl_mul
 
-from conftest import pipeline, rand_mpoly, rand_weylop
-
-
-def poly(text, k):
-    return parse_op(text, k).poly_part()
+from conftest import pipeline, poly, rand_mpoly, rand_weylop
 
 
 class TestEtaEmbed:
@@ -91,6 +88,28 @@ class TestBuchberger:
         gb2 = module_buchberger(gb)
         assert {e.lead()[0] for e in gb2} == {e.lead()[0] for e in gb}
 
+    def test_autoreduce_is_one_pass(self, monkeypatch):
+        # a minimal basis keeps its leads, so one normal form per element
+        # leaves it reduced, with every lead coefficient still 1
+        autoreduce = modgb._autoreduce
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _normal_form(*args)
+
+        def counting_autoreduce(*args):
+            monkeypatch.setattr(modgb, "_normal_form", counted)
+            return autoreduce(*args)
+
+        monkeypatch.setattr(modgb, "_autoreduce", counting_autoreduce)
+        gb = module_buchberger([eta_embed(p) for p in build_generators(parse_model("se,ll,{5}"))])
+        assert len(calls) == len(gb) == 26
+        leads = [e.lead()[0] for e in gb]
+        for i, elem in enumerate(gb):
+            assert elem.lead()[1] == RF_ONE
+            assert _normal_form(elem, gb[:i] + gb[i + 1:], leads[:i] + leads[i + 1:]) == elem
+
     def test_recombination_identity(self):
         # every basis element is an exact right-combination of the inputs,
         # verified both in the module and back in the Weyl algebra
@@ -110,15 +129,17 @@ class TestExtract:
     def test_p4_reducer_shape(self):
         res = pipeline("se,ll,{4}")
         (r4,) = [r for r in res.reducers if r.m == (0, 0, 0, 1)]
-        assert r4.q == poly("p4 + t - 1", 4)
-        assert r4.c == RF_ONE
+        (e4,) = [e for e in res.gb if e.lead()[0] == (None, r4.m)]
+        assert e4.eta1 == poly("p4 + t - 1", 4)
+        assert e4.lead()[1] == RF_ONE
         assert r4.g == parse_op("p4 + t - 1 + 4*d4", 4)
 
     def test_skips_eta0_only_elements(self):
         res = pipeline("se,ll,{4}")
         assert len(res.reducers) < len(res.gb)
+        eta1 = {e.lead()[0]: e.eta1 for e in res.gb}
         for r in res.reducers:
-            assert not r.q.is_zero()
+            assert not eta1[(None, r.m)].is_zero()
 
     def test_reducer_is_module_to_weyl(self):
         gb = pipeline("se,ll,{4}").gb
@@ -137,23 +158,28 @@ class TestExtract:
 class TestDominance:
     def test_affine_tail(self):
         g = parse_op("p4 + t - 1 + 4*d4", 4)
-        r = Reducer(g=g, q=poly("p4 + t - 1", 4), m=(0, 0, 0, 1), c=RF_ONE)
+        r = Reducer(g=g, m=(0, 0, 0, 1))
         assert is_dominant(r)
+
+    def test_coefficient_at_m_must_be_one(self):
+        g = parse_op("2*p4 + t - 1 + 4*d4", 4)
+        assert not is_dominant(Reducer(g=g, m=(0, 0, 0, 1)))
+        assert is_dominant(Reducer(g=g.scale(RatFunc.from_rat(Fraction(1, 2))), m=(0, 0, 0, 1)))
 
     def test_degree_raising_tail_rejected(self):
         g = parse_op("p1 + p2^2", 2)
-        r = Reducer(g=g, q=poly("p1 + p2^2", 2), m=(1, 0), c=RF_ONE)
+        r = Reducer(g=g, m=(1, 0))
         assert not is_dominant(r)
 
     def test_equal_weight_larger_monomial_rejected(self):
         # tail p3 has the same weight as the head p1 but sits above it
         g = parse_op("p1 + p3", 3)
-        r = Reducer(g=g, q=poly("p1 + p3", 3), m=(1, 0, 0), c=RF_ONE)
+        r = Reducer(g=g, m=(1, 0, 0))
         assert not is_dominant(r)
 
     def test_equal_weight_smaller_monomial_accepted(self):
         g = parse_op("p3 - t*p1 - 3*d3", 3)
-        r = Reducer(g=g, q=poly("p3 - t*p1", 3), m=(0, 0, 1), c=RF_ONE)
+        r = Reducer(g=g, m=(0, 0, 1))
         assert is_dominant(r)
 
     @pytest.mark.parametrize("ms", ["se,ll,{2}", "se,ll,{3}", "se,ll,{4}", "se,ll,{5}"])

@@ -6,13 +6,9 @@ import pytest
 from regenum.models import parse_model
 from regenum.oracle import graph_count_dp, pairing_tseries, scalar_series, trunc_pairing
 from regenum.polyring import MPoly
-from regenum.weyl import adjoint, apply_op, parse_op
+from regenum.weyl import adjoint, apply_op
 
-from conftest import rand_mpoly, rand_weylop
-
-
-def poly(text, k):
-    return parse_op(text, k).poly_part()
+from conftest import poly, rand_mpoly, rand_weylop
 
 
 ALL_EL = [(e, l) for e in ("se", "me") for l in ("ll", "la", "lh")]

@@ -5,7 +5,6 @@ from regenum.polyring import (
     MPoly,
     exp_mul,
     grevlex_key,
-    leading_term,
     module_key,
     pd_key,
     stairs_and_dim,
@@ -77,20 +76,6 @@ class TestMPoly:
         assert type(a) is type(x)
         assert a.is_zero() and not a.terms
         assert (x + (-x)).is_zero() and not x.scale(0).terms
-
-    def test_leading_term(self):
-        from regenum.exactnum import RF_T
-
-        k = 2
-        p1, p2 = MPoly.gen(k, 0), MPoly.gen(k, 1)
-        a = p1 * p1 + p2
-        assert leading_term(a) == (e(2, 0), RF_ONE)
-        b = (p1 * p2).scale(RF_T) + p1  # degree 2 beats degree 1
-        assert leading_term(b) == (e(1, 1), RF_T)
-
-    def test_leading_term_zero_errors(self):
-        with pytest.raises(ValueError):
-            leading_term(MPoly(2))
 
 
 class TestStairs:

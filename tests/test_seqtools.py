@@ -22,13 +22,9 @@ from regenum.seqtools import (
     unroll,
 )
 from regenum.seqtools import _falling, _peel
-from regenum.exactnum import UniPoly, zeval
+from regenum.exactnum import zeval
 
-from conftest import pipeline
-
-
-def up(*cs):
-    return UniPoly(cs)
+from conftest import pipeline, up
 
 
 def assert_satisfies(rec, vals):

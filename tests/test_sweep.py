@@ -66,7 +66,7 @@ def rescan_red(s, basis, want_trace=False):
                 if jkey is None or key > jkey:
                     j, jkey = idx, key
         r = reducers[j]
-        c = s.terms[best] / r.c
+        c = s.terms[best]
         shift = exp_div(best, r.m)
         s = s - apply_op(r.g, MPoly.term(s.k, shift, c))
         if want_trace:

@@ -21,15 +21,7 @@ from regenum.telescope import (
 )
 from regenum.weyl import parse_op
 
-from conftest import pipeline, rand_mpoly
-
-
-def poly(text, k):
-    return parse_op(text, k).poly_part()
-
-
-def up(*cs):
-    return UniPoly(cs)
+from conftest import pipeline, poly, rand_mpoly, up
 
 
 # the worked 4-regular example, straight from the narrative
@@ -236,14 +228,22 @@ class TestPipeline:
 class TestFailures:
     def test_positive_dimension(self):
         g = parse_op("p1*p2", 2)
-        r = Reducer(g=g, q=poly("p1*p2", 2), m=(1, 1), c=rf(1))
+        r = Reducer(g=g, m=(1, 1))
         with pytest.raises(FailPositiveDim) as exc:
             reduction_basis([r])
         assert exc.value.code == "FAIL"
 
     def test_dominance_failure(self):
         g = parse_op("p1 + p2^2", 2)
-        r = Reducer(g=g, q=poly("p1 + p2^2", 2), m=(1, 0), c=rf(1))
+        r = Reducer(g=g, m=(1, 0))
         with pytest.raises(FailDominance) as exc:
             reduction_basis([r])
         assert exc.value.code == "FAIL-DOMINANCE"
+
+    def test_reducer_without_its_leading_monomial_fails(self):
+        # G = t + 1 has no p1 term: reducing p1^3 by it would keep p1^3
+        # and add p1^2 and p1 terms, all outside the stairs [(0,)]
+        r = Reducer(g=parse_op("t + 1", 1), m=(1,))
+        with pytest.raises(FailDominance) as exc:
+            reduction_basis([r])
+        assert exc.value.index == 0
