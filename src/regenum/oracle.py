@@ -3,11 +3,15 @@
 * ``scalar_series``: evaluates the model's generating function directly by
   the truncated power-sum pairing <exp(f), exp(tg)>; exactness relies on
   the grading where p_i has weight i, since the n-th series coefficient
-  pairs exp(f) only against monomials of weight at most n*max(K).
+  pairs exp(f) only against monomials of weight at most n*max(K).  The
+  truncated exp(f) and the powers of g are integer term maps, each over
+  one common denominator, so each series coefficient is one ``Fraction``.
 
 * ``graph_count_dp``: counts the labelled structures themselves by a
   vertex-by-vertex dynamic program over sorted residual-degree states.
-  It is exponential in n and exists to validate, not to scale.
+  Each state chooses the edges of its vertex with the smallest residual,
+  which has the fewest ways to spend it.  It is exponential in n and
+  exists to validate, not to scale.
 
 Both are deliberately independent of the operator pipeline.
 """
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .exactnum import UniPoly
 from .models import ModelSpec, build_f, build_g
@@ -37,43 +41,47 @@ def zweight(e) -> int:
     return out
 
 
-def _as_frac_dict(m: MPoly) -> dict:
-    return {e: c.as_rational() for e, c in m.terms.items()}
+def _int_terms(m: MPoly):
+    """m's t-free coefficients as (integer term map, common denominator)."""
+    rats = {e: c.as_rational() for e, c in m.terms.items()}
+    den = lcm(1, *(q.denominator for q in rats.values()))
+    return {e: q.numerator * (den // q.denominator) for e, q in rats.items()}, den
 
 
 def _mul_trunc(a: dict, b: dict, wmax) -> dict:
+    """Product of integer term maps, dropping monomials of weight past wmax
+    (None keeps all); the denominators multiply outside."""
+    bw = [(e2, c2, _weight(e2)) for e2, c2 in b.items()]
     out = {}
     for e1, c1 in a.items():
-        w1 = _weight(e1)
-        for e2, c2 in b.items():
-            if wmax is not None and w1 + _weight(e2) > wmax:
+        wleft = None if wmax is None else wmax - _weight(e1)
+        for e2, c2, w2 in bw:
+            if wleft is not None and w2 > wleft:
                 continue
             e = tuple(x + y for x, y in zip(e1, e2))
-            c = c1 * c2
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-    return out
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
-def _exp_trunc(f: dict, k: int, wmax: int) -> dict:
-    """exp(f) truncated past weighted degree wmax (f has no constant term)."""
-    out = {(0,) * k: Fraction(1)}
-    for e, c in sorted(f.items()):
-        w = _weight(e)
-        # exp of a single term: sum of c^m/m! p^(m e)
+def _exp_trunc(f: MPoly, wmax: int):
+    """exp(f) truncated past weighted degree wmax, as (integer term map,
+    common denominator); f has t-free coefficients and no constant term."""
+    out = {(0,) * f.k: 1}
+    den = 1
+    for e, c in sorted(f.terms.items()):
+        q = c.as_rational()
+        s, d = q.numerator, q.denominator
+        # exp of a single term (s/d) p^e: sum of s^m/(d^m m!) p^(m e), all
+        # over d^top top! for the largest top with top * weight(e) <= wmax
+        top = wmax // _weight(e)
         single = {}
-        m = 0
-        acc = Fraction(1)
-        while m * w <= wmax:
-            single[tuple(m * x for x in e)] = acc
-            m += 1
-            acc = acc * c / m
+        num = d**top * factorial(top)
+        den *= num
+        for m in range(top + 1):
+            single[tuple(m * x for x in e)] = num
+            num = num * s // (d * (m + 1))  # exact for m < top
         out = _mul_trunc(out, single, wmax)
-    return out
+    return out, den
 
 
 def trunc_pairing(u: MPoly, v: MPoly) -> Fraction:
@@ -114,23 +122,23 @@ class TruncSeries:
 
 def scalar_series(model: ModelSpec, order: int) -> TruncSeries:
     """Series coefficients c_0..c_order of <exp(f), exp(tg)>."""
+    if order < 0:
+        raise ValueError("negative order")
     k = model.k
-    wmax = order * k
-    f = _as_frac_dict(build_f(model))
-    g = _as_frac_dict(build_g(model))
-    big_f = _exp_trunc(f, k, wmax)
+    big_f, fden = _exp_trunc(build_f(model), order * k)
+    g, gden = _int_terms(build_g(model))
     coeffs = [Fraction(1)]
-    gn = {(0,) * k: Fraction(1)}
-    nfact = 1
+    gn = {(0,) * k: 1}
+    den = fden  # of the pairing with g^n / n!: fden * gden^n * n!
     for n in range(1, order + 1):
         gn = _mul_trunc(gn, g, None)
-        nfact *= n
-        acc = Fraction(0)
+        den *= gden * n
+        acc = 0
         for e, c in gn.items():
             cf = big_f.get(e)
             if cf is not None:
                 acc += c * cf * zweight(e)
-        coeffs.append(acc / nfact)
+        coeffs.append(Fraction(acc, den))
     return TruncSeries(model, order, tuple(coeffs))
 
 
@@ -140,36 +148,40 @@ def pairing_tseries(model: ModelSpec, h: MPoly, order: int) -> UniPoly:
     h may carry polynomial coefficients in t (clear denominators first);
     the result is the truncated Taylor expansion in t.
     """
+    if order < 0:
+        raise ValueError("negative order")
     k = model.k
     hw = max((_weight(e) for e in h.terms), default=0)
-    hpoly = {}
-    for e, c in h.terms.items():
+    for c in h.terms.values():
         if c.dp != (1,) or c.e < 0:
             raise ValueError("pairing_tseries needs denominator-free coefficients")
-        hpoly[e] = [0] * c.e + [x * c.c for x in c.np]
-    wmax = order * k + hw
-    f = _as_frac_dict(build_f(model))
-    g = _as_frac_dict(build_g(model))
-    big_f = _exp_trunc(f, k, wmax)
-    out = [Fraction(0)] * (order + 1)
-    gn = {(0,) * k: Fraction(1)}
-    nfact = 1
+    hden = lcm(1, *(c.cd for c in h.terms.values()))
+    hpoly = {e: [0] * c.e + [x * c.cn * (hden // c.cd) for x in c.np] for e, c in h.terms.items()}
+    big_f, fden = _exp_trunc(build_f(model), order * k + hw)
+    g, gden = _int_terms(build_g(model))
+    # the terms from g^n/n! are over hden * fden * gden^n * n!; scales[n]
+    # brings them over den = hden * fden * gden^order * order!
+    scales = [1] * (order + 1)
+    for n in range(order, 0, -1):
+        scales[n - 1] = scales[n] * gden * n
+    out = [0] * (order + 1)
+    gn = {(0,) * k: 1}
     for n in range(order + 1):
         if n:
             gn = _mul_trunc(gn, g, None)
-            nfact *= n
         # <F, h g^n>: collect per t-power
         for e1, cs in hpoly.items():
+            acc = 0
             for e2, c2 in gn.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
                 cf = big_f.get(e)
-                if cf is None:
-                    continue
-                zc = cf * c2 * zweight(e)
-                for j, hc in enumerate(cs):
-                    if hc and n + j <= order:
-                        out[n + j] += hc * zc / nfact
-    return UniPoly(out)
+                if cf is not None:
+                    acc += cf * c2 * zweight(e)
+            if acc:
+                for j, hc in enumerate(cs[: order + 1 - n]):
+                    out[n + j] += hc * acc * scales[n]
+    den = hden * fden * scales[0]
+    return UniPoly([Fraction(x, den) for x in out])
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +251,8 @@ def _count_fixed(demands, edges: str, loops: str, memo) -> int:
     hit = memo.get(key)
     if hit is not None:
         return hit
-    d, rest = state[0], state[1:]
+    # any vertex may choose its edges; the smallest residual has the fewest ways
+    d, rest = state[-1], state[:-1]
     classes = []
     for r in rest:
         if classes and classes[-1][0] == r:
