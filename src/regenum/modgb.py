@@ -11,6 +11,27 @@ the same position.  An element is one term map keyed by module monomials
 (position, p-exponent), position None for eta1, and its normal form is a
 ``polyring.sweep`` over that map.
 
+The basis is computed by a signature-based Buchberger loop (the "RB"
+algorithm of Eder and Roune, *Signature rewriting in Groebner basis
+computation*, ISSAC 2013; signatures only, as in Roune and Stillman,
+*Practical Groebner basis computation*, ISSAC 2012).  The signature of an
+element is the leading term (i, p^a) of its expression sum_i q_i * gens[i],
+ordered by the input index i and then by grevlex on a; input i enters with
+(i, 0).  Pending signatures sit in a heap and each is handled once, the
+smallest first: an S-pair is represented by the larger of its two
+multiplied signatures.  The candidate at signature T is its rewriter, the
+newest basis element whose signature divides T, times T/sig.  It is
+reduced regularly, only by multiples b*m/lm(b) with sig(b)*m/lm(b) < T, so
+the signature stays T.  A candidate whose lead is then divisible at
+exactly T is singular, a multiple of an element already present, and is
+dropped; a candidate that reduces to zero exhibits a syzygy of signature
+T, and every later signature that T divides is skipped.  A regular
+reduction reaches zero only at the signature of a syzygy.  The twisted
+generators G_i = c_i*d_i + h_i(p) have none: the only eta0 coordinate of
+G_i is its own d_i eta0, where it holds the non-zero constant c_i, so they
+are linearly independent over Q(t)[p], and on them no reduction reaches
+zero (``zero_reductions`` counts the reductions that do).
+
 ``module_buchberger`` is the one place that normalises the basis: every
 element it adds is made monic, and one inter-reduction pass over the
 minimal basis leaves it reduced (the leads do not change, so no element
@@ -26,6 +47,7 @@ a polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .exactnum import RF_ONE, RatFunc
 from .polyring import (
@@ -117,24 +139,53 @@ def _sweep_key(mon):
     return ((-1,) if pos is None else (0, -sum(pos), pos)), -sum(e), e
 
 
-def _normal_form(elem, basis, leads, cof=None, basis_cofs=None):
+def _sig_key(i, a):
+    """Order key of the signature (i, p^a): by index, then grevlex."""
+    return i, grevlex_key(a)
+
+
+class _Singular(Exception):
+    """A regular reduction stopped at a singular lead."""
+
+
+def _normal_form(elem, basis, leads, cof=None, basis_cofs=None, sigs=None, bound=None):
     """Full normal form of elem against monic basis elements, by ``sweep``.
 
     Each step cancels the largest reducible monomial with the first basis
     element whose leading monomial divides it.  The basis is monic, so
     every term a step subtracts lies below its target.
 
+    With the basis signatures ``sigs`` and a signature ``bound`` T the
+    reduction is regular: element b may cancel m only if
+    sig(b)*(m/lm b) < T.  The first monomial left is then the lead; if
+    some lead divides it with multiplied signature equal to T, elem is
+    singular and the result is None, without any tail reduction.
+
     When cofactor lists are given, cof must hold a generator expression of
     elem on entry; it is updated in place and expresses the result on exit.
     """
     cof_terms = None if cof is None else [dict(c.terms) for c in cof]
+    if bound is not None:
+        bound = _sig_key(*bound)
+    lead_left = bound is not None
 
     def step(mon, c):
+        nonlocal lead_left
         pos, e = mon
+        singular = False
         for bi, (bpos, bexp) in enumerate(leads):
             if bpos == pos and exp_divides(bexp, e):
-                break
+                if bound is None:
+                    break
+                si, sa = sigs[bi]
+                key = _sig_key(si, exp_mul(sa, exp_div(e, bexp)))
+                if key < bound:
+                    break
+                singular = singular or key == bound
         else:
+            if lead_left and singular:
+                raise _Singular
+            lead_left = False
             return None
         shift = exp_div(e, bexp)
         c = -c
@@ -145,101 +196,93 @@ def _normal_form(elem, basis, leads, cof=None, basis_cofs=None):
         return basis[bi].mul_term(shift, c).terms
 
     terms = dict(elem.terms)
-    sweep(terms, _sweep_key, step)
+    try:
+        sweep(terms, _sweep_key, step)
+    except _Singular:
+        return None
     if cof is not None:
         cof[:] = [MPoly._of(elem.k, t) for t in cof_terms]
     return ModuleElem._of(elem.k, terms)
 
 
+_zero_reductions = 0
+
+
+def zero_reductions() -> int:
+    """How many reductions in ``module_buchberger`` reached zero in this
+    process; each one is a syzygy of that call's inputs."""
+    return _zero_reductions
+
+
 def module_buchberger(gens, with_cofactors=False):
     """Reduced monic Groebner basis of the right Q(t)[p]-module generated
-    by gens under the module ordering.
+    by gens under the module ordering, by the signature-based loop that
+    the module docstring describes.
 
     With ``with_cofactors`` the result is (basis, cofactors) where each
     basis element equals sum_i cofactors[i] * gens[i] coefficient-wise.
     """
+    global _zero_reductions
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("no generators")
     k = gens[0].k
     ngens = len(gens)
+    one = (0,) * k
 
     basis = []
     leads = []
+    sigs = []
     cofs = []
+    syzygies = []  # signatures whose regular reduction reached zero
 
-    def add_element(elem, cof):
+    # pending signatures (i, a), smallest first: by i, then grevlex on a
+    pending = [(_sig_key(i, one), i, one) for i in range(ngens)]
+    seen = {(i, one) for i in range(ngens)}
+
+    while pending:
+        _, i, a = heappop(pending)
+        if any(si == i and exp_divides(sa, a) for si, sa in syzygies):
+            continue
+        # the rewriter: the newest element whose signature divides (i, a)
+        for r in range(len(basis) - 1, -1, -1):
+            if sigs[r][0] == i and exp_divides(sigs[r][1], a):
+                shift = exp_div(a, sigs[r][1])
+                elem = basis[r].mul_term(shift, RF_ONE)
+                cof = [c.mul_term(shift, RF_ONE) for c in cofs[r]] if with_cofactors else None
+                break
+        else:  # a == one: the input itself
+            elem = gens[i]
+            cof = None
+            if with_cofactors:
+                cof = [MPoly(k) for _ in range(ngens)]
+                cof[i] = MPoly.const(k, 1)
+        red = _normal_form(elem, basis, leads, cof, cofs, sigs, (i, a))
+        if red is None:
+            continue
+        if red.is_zero():
+            _zero_reductions += 1
+            syzygies.append((i, a))
+            continue
+        (pos, lm), lc = red.lead()
+        # each S-pair with an earlier element in the same position is
+        # represented by the larger of the two multiplied signatures
+        for j, (pos_j, lm_j) in enumerate(leads):
+            if pos_j != pos:
+                continue
+            lcm = tuple(max(x, y) for x, y in zip(lm, lm_j))
+            mine = (i, exp_mul(a, exp_div(lcm, lm)))
+            theirs = (sigs[j][0], exp_mul(sigs[j][1], exp_div(lcm, lm_j)))
+            sig = max(mine, theirs, key=lambda s: _sig_key(*s))
+            if mine != theirs and sig not in seen:
+                seen.add(sig)
+                heappush(pending, (_sig_key(*sig), *sig))
         # the only scaling of the basis: every element enters monic
-        lm, lc = elem.lead()
         inv = lc.inverse()
-        basis.append(elem.scale(inv))
-        leads.append(lm)
+        basis.append(red.scale(inv))
+        leads.append((pos, lm))
+        sigs.append((i, a))
         cofs.append(None if cof is None else [c.scale(inv) for c in cof])
-        return len(basis) - 1
-
-    # pair bookkeeping: (i, j) -> lcm exponent; Gebauer-Moeller chain pruning
-    pairs = {}
-
-    def lcm_exp(a, b):
-        return tuple(max(x, y) for x, y in zip(a, b))
-
-    def update_pairs(s):
-        pos_s, a_s = leads[s]
-        fresh = {}
-        for i in range(s):
-            pos_i, a_i = leads[i]
-            if pos_i == pos_s:
-                fresh[(i, s)] = lcm_exp(a_i, a_s)
-        # prune old pairs by the chain criterion
-        for (i, j), l in list(pairs.items()):
-            pos_ij = leads[i][0]
-            if pos_ij == pos_s and exp_divides(a_s, l):
-                if lcm_exp(leads[i][1], a_s) != l and lcm_exp(leads[j][1], a_s) != l:
-                    del pairs[(i, j)]
-        # prune fresh pairs among themselves: keep minimal lcms, one per lcm
-        items = sorted(fresh.items(), key=lambda t: grevlex_key(t[1]))
-        kept = []
-        for (i, s2), l in items:
-            drop = False
-            for (_, l2) in kept:
-                if exp_divides(l2, l):
-                    drop = True
-                    break
-            if not drop:
-                kept.append(((i, s2), l))
-        for key, l in kept:
-            pairs[key] = l
-
-    for gi, g in enumerate(gens):
-        cof = None
-        if with_cofactors:
-            cof = [MPoly(k) for _ in range(ngens)]
-            cof[gi] = MPoly.const(k, 1)
-        red = _normal_form(g, basis, leads, cof, cofs)
-        if red.is_zero():
-            continue
-        s = add_element(red, cof)
-        update_pairs(s)
-
-    while pairs:
-        key = min(pairs, key=lambda ij: (grevlex_key(pairs[ij]), ij))
-        i, j = key
-        del pairs[key]
-        (pos, a_i), (_, a_j) = leads[i], leads[j]
-        l = lcm_exp(a_i, a_j)
-        si = basis[i].mul_term(exp_div(l, a_i), RF_ONE)
-        sj = basis[j].mul_term(exp_div(l, a_j), RF_ONE)
-        s_elem = si - sj
-        cof = None
-        if with_cofactors:
-            qi = MPoly.term(k, exp_div(l, a_i), RF_ONE)
-            qj = MPoly.term(k, exp_div(l, a_j), RF_ONE)
-            cof = [cofs[i][g] * qi - cofs[j][g] * qj for g in range(ngens)]
-        red = _normal_form(s_elem, basis, leads, cof, cofs)
-        if red.is_zero():
-            continue
-        s = add_element(red, cof)
-        update_pairs(s)
 
     return _autoreduce(basis, leads, cofs, with_cofactors)
 

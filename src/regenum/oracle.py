@@ -217,7 +217,8 @@ def _distributions(classes, rem, simple):
             for w2, rest_adds in _distributions(rest, rem - a, simple):
                 yield ways * w2, adds + rest_adds
     else:
-        # b[j] = vertices of this class receiving j parallel edges each
+        # b[j] = vertices of this class receiving j parallel edges each;
+        # j starts at the largest multiplicity the budget admits
         def rec(vleft, budget, j, chosen):
             if vleft == 0:
                 yield list(chosen), budget
@@ -227,10 +228,11 @@ def _distributions(classes, rem, simple):
                 return
             for b in range(min(vleft, budget // j) + 1):
                 chosen.append((j, b))
-                yield from rec(vleft - b, budget - j * b, j - 1, chosen)
+                left = budget - j * b
+                yield from rec(vleft - b, left, min(j - 1, left), chosen)
                 chosen.pop()
 
-        for split, budget_left in rec(cnt, rem, r, []):
+        for split, budget_left in rec(cnt, rem, min(r, rem), []):
             ways = 1
             left = cnt
             adds = []

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from math import gcd as _igcd
 
-from .exactnum import RatFunc, UniPoly, zcontent, zdivexact, zgcd, zgcd_split, zkron, zmul, zneg, zscale, zunkron, zval
+from .exactnum import RF_ONE, RatFunc, UniPoly, zcontent, zdivexact, zgcd, zgcd_split, zkron, zmul, zneg, zscale, zunkron, zval
 from .models import ModelSpec, build_g, build_generators
 from .modgb import eta_embed, extract_reducers, is_dominant, module_buchberger
 from .polyring import MPoly, exp_div, exp_divides, grevlex_key, stairs_and_dim, sweep
@@ -50,8 +50,12 @@ class FailDominance(PipelineFailure):
 
 @dataclass
 class ReductionBasis:
+    """Dominant reducers and their stairs.  ``images`` holds what ``red``
+    has applied so far: (j, shift) maps to the terms of G_j . p^shift."""
+
     reducers: list
     stairs: list
+    images: dict = field(default_factory=dict)
 
 
 def reduction_basis(reducers) -> ReductionBasis:
@@ -77,13 +81,15 @@ def red(s: MPoly, basis: ReductionBasis, want_trace: bool = False):
     Each step cancels the largest monomial that some m_j divides, using the
     largest such m_j (ties by index), by subtracting G_j . (c p^shift).
     Dominance (checked by ``reduction_basis``) puts every term a step
-    subtracts below its target.
+    subtracts below its target.  G_j acts Q(t)-linearly, so each image
+    G_j . p^shift is formed once per basis (``basis.images``) and every
+    step scales it by -c.
 
     Returns (s-check, trace); the trace lists (j, coeff, exponent) per
     elimination step so that s == s-check + sum_j G_j . sigma_j exactly,
     with sigma_j the sum of the traced terms for reducer j.
     """
-    reducers = basis.reducers
+    reducers, images = basis.reducers, basis.images
     # reducer indices by decreasing m; the stable sort keeps ties by index
     order = sorted(range(len(reducers)), key=lambda j: grevlex_key(reducers[j].m), reverse=True)
     trace = [] if want_trace else None
@@ -94,11 +100,14 @@ def red(s: MPoly, basis: ReductionBasis, want_trace: bool = False):
                 break
         else:
             return None
-        r = reducers[j]
-        shift = exp_div(e, r.m)
+        shift = exp_div(e, reducers[j].m)
         if want_trace:
             trace.append((j, c, shift))
-        return apply_op(r.g, MPoly.term(s.k, shift, -c)).terms
+        img = images.get((j, shift))
+        if img is None:
+            img = images[(j, shift)] = apply_op(reducers[j].g, MPoly.term(s.k, shift, RF_ONE)).terms
+        c = -c
+        return {m: x * c for m, x in img.items()}
 
     terms = dict(s.terms)
     sweep(terms, _neg_degree, step)

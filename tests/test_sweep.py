@@ -8,7 +8,7 @@ from regenum import modgb
 from regenum.exactnum import RF_ONE
 from regenum.modgb import ModuleElem, _normal_form, _sweep_key, eta_embed, module_buchberger
 from regenum.models import build_g, build_generators, parse_model
-from regenum.polyring import MPoly, exp_div, exp_divides, grevlex_key, module_key
+from regenum.polyring import MPoly, exp_div, exp_divides, exp_mul, grevlex_key, module_key
 from regenum.telescope import red, replay
 from regenum.weyl import apply_op
 
@@ -17,19 +17,35 @@ from conftest import pipeline, rand_exponent, rand_mpoly, rand_weylop
 MODELS = ["se,ll,{4}", "me,la,{2}", "se,lh,{1,2}"]
 
 
-def rescan_normal_form(elem, basis, leads, cof=None, basis_cofs=None):
+def rescan_normal_form(elem, basis, leads, cof=None, basis_cofs=None, sigs=None, bound=None):
     """Reference: sort every monomial, reduce the first reducible one by the
-    lowest-index divisor, copy the element, repeat."""
+    lowest-index divisor, copy the element, repeat.  With a signature
+    bound, a divisor counts only if its multiplied signature lies below the
+    bound, and an irreducible largest monomial that some lead divides at
+    exactly the bound makes the element singular (None)."""
+
+    def sig_key(i, a):
+        return i, grevlex_key(a)
+
     while True:
         target = None
-        for mon, c in sorted(elem.terms.items(), key=lambda t: module_key(t[0]), reverse=True):
+        for rank, (mon, c) in enumerate(sorted(elem.terms.items(), key=lambda t: module_key(t[0]), reverse=True)):
             pos, e = mon
+            singular = False
             for bi, (bpos, bexp) in enumerate(leads):
                 if bpos == pos and exp_divides(bexp, e):
-                    target = (mon, c, bi, exp_div(e, bexp))
+                    shift = exp_div(e, bexp)
+                    if bound is not None:
+                        key = sig_key(sigs[bi][0], exp_mul(sigs[bi][1], shift))
+                        if key >= sig_key(*bound):
+                            singular = singular or key == sig_key(*bound)
+                            continue
+                    target = (mon, c, bi, shift)
                     break
             if target:
                 break
+            if rank == 0 and singular:
+                return None
         if target is None:
             return elem
         mon, c, bi, shift = target

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from regenum import exactnum
+from regenum import exactnum, telescope
 from regenum.exactnum import RatFunc, UniPoly, gcd_fallbacks, rf
 from regenum.modgb import Reducer, eta_embed, extract_reducers, module_buchberger
 from regenum.models import build_g, build_generators, parse_model
@@ -19,7 +19,7 @@ from regenum.telescope import (
     replay,
     run_pipeline,
 )
-from regenum.weyl import parse_op
+from regenum.weyl import apply_op, parse_op
 
 from conftest import pipeline, poly, rand_mpoly, up
 
@@ -80,6 +80,20 @@ class TestRed:
             res = pipeline(ms)
             for src, shat, trace in res.traces:
                 assert replay(src, shat, trace, res.basis)
+
+    def test_each_reducer_image_applied_once(self, monkeypatch):
+        # one derivation applies each G_j . p^shift once, however many
+        # steps of however many reductions cancel with it
+        calls = []
+
+        def counted(a, s):
+            calls.append(1)
+            return apply_op(a, s)
+
+        monkeypatch.setattr(telescope, "apply_op", counted)
+        res = run_pipeline(parse_model("se,ll,{5}"), want_trace=True)
+        steps = [(j, shift) for _, _, trace in res.traces for j, _, shift in trace]
+        assert len(calls) == len(set(steps)) == len(res.basis.images) < len(steps)
 
 
 class TestKernel:
