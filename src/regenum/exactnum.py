@@ -122,9 +122,9 @@ def zprim(a):
 
 
 def zprem(a, b):
-    """Pseudo-remainder of a by b (b non-zero, deg a >= deg b); the scaling
-    power is whatever the elimination steps needed, which suffices for a
-    content-stripping PRS."""
+    """Pseudo-remainder of a by b (b non-zero; a itself when deg a < deg b,
+    the remainder when b is monic); the scaling power is whatever the
+    elimination steps needed, which suffices for a content-stripping PRS."""
     r = list(a)
     db = len(b) - 1
     lb = b[-1]
@@ -383,26 +383,6 @@ class UniPoly:
             base = base * base
             n >>= 1
         return out
-
-    def divmod(self, other):
-        """Exact field division with remainder (coefficients become Rat)."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        r = [Fraction(c) for c in self.coeffs]
-        lb = Fraction(other.coeffs[-1])
-        db = len(other.coeffs) - 1
-        while len(r) > db:
-            c = r[-1] / lb
-            i = len(r) - 1 - db
-            q[i] = c
-            for j, cb in enumerate(other.coeffs):
-                r[i + j] -= c * cb
-            while r and not r[-1]:
-                r.pop()
-            if len(r) <= db:
-                break
-        return UniPoly(q), UniPoly(r)
 
     def derivative(self):
         return UniPoly(zderiv(self.coeffs))

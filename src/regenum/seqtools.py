@@ -8,14 +8,19 @@ exactly the Taylor coefficient sequences of the ODE's series solutions.
 Counts recurrences substitute c_n = r_n / n! and clear the factorials with
 falling-factorial polynomials.
 
-Unrolling forces c_0 = 1 and c_n = 0 for n < 0.  It peels the linear
-factors (n+l) back off the coefficients and evaluates each instance in
-Horner form over them, so a step multiplies the big terms only by small
-integers and by values of the peeled (Taylor-size) coefficients; every
-division in counts mode is still proved exact by divmod.  A vanishing
-leading coefficient blocks an index; blocked terms become symbols that
-later degenerate instances may pin down (an exact linear solve), and an
-unresolved symbol in the requested range is an error.
+Unrolling forces c_0 = 1 and c_n = 0 for n < 0.  One instance loop
+serves every unroll: it peels the linear factors (n+l) back off the
+coefficients and evaluates each instance in Horner form over them, so a
+step multiplies the big terms only by small integers and by values of the
+peeled (Taylor-size) coefficients; every division in counts mode is still
+proved exact by divmod.  A vanishing leading coefficient blocks an index.
+The recurrence is linear, so every term is affine in the blocked terms,
+and one pass of the loop per blocked term gives it by superposition; the
+blocked instances then form a small exact linear system that may pin
+blocked terms down, and a term in the requested range that still depends
+on a free one is an error.  The blocked indices are the non-negative
+integer roots of the leading coefficient, isolated on integers only by
+Descartes' rule of signs.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _igcd
 
-from .exactnum import UP_ONE, UniPoly, zcontent, zderiv, zeval, zgcd_split
+from .exactnum import UP_ONE, UniPoly, zcontent, zdivexact, zeval, zmul, zprem, zshift_arg, zval
 
 
 class SequenceError(Exception):
@@ -201,91 +206,50 @@ def rec_counts(rec: Recurrence) -> Recurrence:
 # Unrolling.
 # ---------------------------------------------------------------------------
 
-def _affine_add(a, b, scale=1):
-    for k, v in b.items():
-        nv = a.get(k, 0) + v * scale
-        if nv:
-            a[k] = nv
-        else:
-            a.pop(k, None)
-
-
-def _divide_linear(cs, level):
-    """cs / (n + level) by synthetic division, or None if the remainder is
-    non-zero."""
-    q = [0] * (len(cs) - 1)
-    carry = 0
-    for i in range(len(cs) - 1, 0, -1):
-        carry = cs[i] - level * carry
-        q[i - 1] = carry
-    return q if not cs or cs[0] == level * carry else None
-
-
 def _peel(polys):
     """Split b_s(n) = a_s(n) * prod (n+l) over the peeled levels l > s.
 
     Level l = order, ..., 1 is peeled when (n+l) divides each of
-    b_0..b_{l-1} exactly; the factors that rec_counts multiplied in
-    peel off completely.  Returns the quotients a_s and, per shift l,
-    whether level l was peeled.
+    b_0..b_{l-1}, that is, when they all vanish at n = -l; the factors are
+    coprime, so no level depends on another.  The remainder of b_s by the
+    monic (n+s+1)...(n+order) takes b_s's value at every such n = -l, and
+    is zero when rec_counts multiplied that product in.  Returns the
+    quotients a_s, one exact division each, and, per shift l, whether
+    level l was peeled.
     """
     order = len(polys) - 1
-    quots = list(polys)
-    peeled = [False] * (order + 1)
-    for level in range(order, 0, -1):
-        qs = []
-        for cs in quots[:level]:
-            q = _divide_linear(cs, level)
-            if q is None:
-                break
-            qs.append(q)
-        else:
-            quots[:level] = qs
-            peeled[level] = True
+    rems, fall = [None] * order, [1]
+    for s in range(order - 1, -1, -1):
+        fall = zmul(fall, [s + 1, 1])
+        rems[s] = zprem(polys[s], fall)
+    peeled = [False] + [all(not zeval(r, -l) for r in rems[:l]) for l in range(1, order + 1)]
+    quots, fall = list(polys), [1]
+    for s in range(order - 1, -1, -1):
+        if peeled[s + 1]:
+            fall = zmul(fall, [s + 1, 1])
+        quots[s] = zdivexact(polys[s], fall)
     return quots, peeled
 
 
-def unroll(rec: Recurrence, init, n_max: int):
-    """Iterate the recurrence from the forced initial segment.
+def _instances(quots, peeled, forced, given, upto, counts):
+    """Run the instances m = 0..upto in order; returns the terms c_0..c_upto
+    and the instance sums at the indices in ``given``.
 
-    Returns ints in counts mode and Rats in taylor mode.  Instances whose
-    leading coefficient vanishes turn the new term into a symbol; later
-    degenerate instances are solved for pending symbols, and a symbol
-    surviving to the end raises UnderdeterminedError.
-
-    The loop that checks the forced segment and solves unblocked
-    instances evaluates sum_{s<order} b_s(n) c_{n+s} in Horner form over
-    the linear factors peeled off the coefficients (_peel):
-    acc = acc*(n+s) + a_s(n)*c_{n+s}, with multiplier 1 at a level that
-    did not peel.  The sum is the same however far the coefficients
-    peel, and in counts mode every new term is still proved exact by
-    divmod.
+    Instance m, at n = m - order, evaluates sum_{s<order} b_s(n) c_{n+s} in
+    Horner form over the peeled factors: acc = acc*(n+s) + a_s(n)*c_{n+s},
+    with multiplier 1 at a level that did not peel.  The sum is the same
+    however far the coefficients peel.  An instance inside the ``forced``
+    segment must hold; at an index in ``given``, where the leading
+    coefficient vanishes, the term takes the given value and the sum is
+    kept; any other instance is solved for its newest term, exactly by
+    divmod when ``counts`` is set.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    order = rec.order
-    polys = [p.int_coeffs() for p in rec.coeffs]
-    leadp = polys[order]
-    init = [Fraction(v) for v in init]
-    if len(init) < 1:
-        raise ValueError("initial segment must force at least c_0")
-
-    blocked = any(
-        zeval(leadp, m - order) == 0 for m in range(len(init), n_max + 1)
-    )
-    counts = rec.mode == "counts"
-    values = list(init)
-    if counts and not blocked:
-        # big-integer arithmetic; exactness of every division is verified
-        for v in init:
-            if v.denominator != 1:
-                raise SequenceError(f"non-integer forced value {v} in counts mode")
-        values = [v.numerator for v in init]
+    order = len(quots) - 1
+    leadp = quots[order]
+    values = list(forced)
+    sums = []
     zero = 0 if counts else Fraction(0)
-    quots, peeled = _peel(polys)
-    # instances inside the forced segment must hold; later ones are solved
-    # for their newest term unless some leading coefficient vanishes
-    for m in range(n_max + 1):
+    for m in range(upto + 1):
         n = m - order
         acc = zero
         for j in range(max(-n, 0), order):
@@ -296,181 +260,140 @@ def unroll(rec: Recurrence, init, n_max: int):
                 acc += zeval(quots[j], n) * v
         if peeled[order]:
             acc *= m
-        if m < len(init):
-            if acc + zeval(leadp, n) * values[m]:
+        lead = zeval(leadp, n)
+        if m < len(forced):
+            if acc + lead * values[m]:
                 raise InconsistentError(
                     f"forced initial segment violates the recurrence at index {m}"
                 )
-        elif blocked:
-            break
+        elif m in given:
+            values.append(given[m])
+            sums.append(acc)
         elif counts:
-            q, r = divmod(-acc, zeval(leadp, n))
+            q, r = divmod(-acc, lead)
             if r:
                 raise SequenceError(f"non-integer count at n={m}")
             values.append(q)
         else:
-            values.append(-acc / zeval(leadp, n))
-    if not blocked:
-        return values[: n_max + 1]
+            values.append(-acc / lead)
+    return values, sums
 
-    # general path with symbolic blocked terms; instances are processed
-    # past n_max up to the last degenerate index so that later constraints
-    # can still pin blocked symbols inside the requested range
-    psi = UniPoly(leadp).shift_arg(-order)
-    horizon = n_max
-    if not psi.is_zero():
-        roots = nonneg_integer_roots(psi)
-        if roots:
-            horizon = max(horizon, max(roots))
-    values = [{"#": v} for v in init]  # affine: key "#" is the constant
-    nsym = 0
+
+def unroll(rec: Recurrence, init, n_max: int):
+    """Iterate the recurrence from the forced initial segment.
+
+    Returns ints in counts mode and Rats in taylor mode.  An index m past
+    the forced segment at which the leading coefficient vanishes (a root
+    of psi(m) = a_order(m - order)) is blocked: its instance does not
+    determine c_m.  With no blocked index up to n_max, one pass of
+    _instances solves every term.
+
+    Otherwise every term is affine in the blocked terms, since the
+    recurrence is linear, and superposition reads it off: one rational
+    pass with the forced values and every blocked term 0, and one per
+    blocked index from a zero segment with that term 1, all up to the
+    largest root of psi, so that blocked instances past n_max can still
+    pin terms in range.  The blocked instance sums are affine
+    constraints, solved in increasing index for their largest blocked
+    term; a contradiction raises InconsistentError, and a term up to
+    n_max that still depends on a free blocked term raises
+    UnderdeterminedError.  Integrality in counts mode is checked last.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    order = rec.order
+    polys = [p.int_coeffs() for p in rec.coeffs]
+    init = [Fraction(v) for v in init]
+    if len(init) < 1:
+        raise ValueError("initial segment must force at least c_0")
+    quots, peeled = _peel(polys)
+    roots = nonneg_integer_roots(rec.coeffs[order].shift_arg(-order))
+    blocked = [m for m in roots if len(init) <= m]
+    counts = rec.mode == "counts"
+    if not blocked or blocked[0] > n_max:
+        if counts:
+            # big-integer arithmetic; exactness of every division is verified
+            for v in init:
+                if v.denominator != 1:
+                    raise SequenceError(f"non-integer forced value {v} in counts mode")
+            init = [v.numerator for v in init]
+        return _instances(quots, peeled, init, {}, n_max, counts)[0][: n_max + 1]
+
+    # run 0 carries the forced values with every blocked term 0; run i
+    # starts from a zero segment and sets blocked term i to 1
+    zero, one = Fraction(0), Fraction(1)
+    runs = []
+    for i in range(len(blocked) + 1):
+        forced = [zero if i else v for v in init]
+        given = {b: one if i == j else zero for j, b in enumerate(blocked, 1)}
+        runs.append(_instances(quots, peeled, forced, given, max(n_max, roots[-1]), False))
+    # a row [constant, coefficient of blocked term 1, 2, ...] is an affine
+    # form; resolved[i] is the row that solved for term i, scaled to
+    # coefficient -1 there, so adding c * resolved[i] eliminates c * term i.
+    # It holds only terms below i, so one descending sweep substitutes all
     resolved = {}
 
-    def resolve(expr):
-        out = {}
-        stack = [(expr, Fraction(1))]
-        while stack:
-            e, sc = stack.pop()
-            for k, v in e.items():
-                if k != "#" and k in resolved:
-                    stack.append((resolved[k], v * sc))
-                else:
-                    nv = out.get(k, 0) + v * sc
-                    if nv:
-                        out[k] = nv
-                    else:
-                        out.pop(k, None)
-        return out
+    def reduce(row):
+        for i in range(len(row) - 1, 0, -1):
+            c = row[i]
+            if c and i in resolved:
+                row = [x + c * y for x, y in zip(row, resolved[i])]
+        return row
 
-    def handle_constraint(expr, index):
-        expr = resolve(expr)
-        syms = [k for k in expr if k != "#"]
-        if not syms:
-            if expr:
-                raise InconsistentError(
-                    f"recurrence instance at index {index} is violated"
-                )
-            return
-        s = max(syms)
-        coef = expr.pop(s)
-        resolved[s] = {k: -v / coef for k, v in expr.items()}
-
-    for m in range(0, horizon + 1):
-        n = m - order
-        acc = {}
-        for j in range(order):
-            idx = n + j
-            if 0 <= idx < len(values) and idx < m:
-                c = zeval(polys[j], n)
-                if c:
-                    _affine_add(acc, values[idx], Fraction(c))
-        lead = zeval(leadp, n)
-        if m < len(values):
-            # instance constrains the forced segment
-            if lead:
-                _affine_add(acc, values[m], Fraction(lead))
-            handle_constraint(acc, m)
-            continue
-        if lead:
-            values.append({k: -v / lead for k, v in acc.items()})
-        else:
-            nsym += 1
-            sym = nsym
-            handle_constraint(acc, m)
-            values.append({sym: Fraction(1)})
-
-    final = []
-    for m, expr in enumerate(values[: n_max + 1]):
-        expr = resolve(expr)
-        if any(k != "#" for k in expr):
+    for k, index in enumerate(blocked):
+        row = reduce([sums[k] for _, sums in runs])
+        pivot = max((i for i in range(1, len(row)) if row[i]), default=0)
+        if pivot:
+            resolved[pivot] = [-x / row[pivot] for x in row]
+        elif row[0]:
+            raise InconsistentError(f"recurrence instance at index {index} is violated")
+    values = []
+    for m in range(n_max + 1):
+        row = reduce([run[0][m] for run in runs])
+        if any(row[1:]):
             raise UnderdeterminedError(m)
-        final.append(expr.get("#", Fraction(0)))
-    return _finalize(final, rec.mode)
-
-
-def _finalize(values, mode):
-    if mode != "counts":
-        return values
-    out = []
-    for m, v in enumerate(values):
-        if isinstance(v, Fraction):
+        values.append(row[0])
+    if counts:
+        for m, v in enumerate(values):
             if v.denominator != 1:
                 raise SequenceError(f"non-integer count at n={m}: {v}")
-            v = v.numerator
-        out.append(int(v))
-    return out
+        values = [v.numerator for v in values]
+    return values
 
 
 # ---------------------------------------------------------------------------
-# Indicial check at t = 0: integer exponents via exact Sturm isolation.
+# Indicial check at t = 0: integer exponents by Descartes bisection.
 # ---------------------------------------------------------------------------
-
-def _sturm_chain(cs):
-    chain = [UniPoly(cs)]
-    chain.append(chain[0].derivative())
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        _, r = chain[-2].divmod(chain[-1])
-        if r.is_zero():
-            break
-        chain.append(-r)
-    return [c for c in chain if not c.is_zero()]
-
-
-def _variations(chain, x):
-    signs = []
-    for p in chain:
-        v = p.evaluate(x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _safe_point(chain, x):
-    eps = Fraction(1, 4)
-    while not chain[0].evaluate(x):
-        x += eps
-        eps /= 2
-    return x
-
 
 def nonneg_integer_roots(p: UniPoly):
     """All non-negative integer roots, exactly.
 
-    The square-free part is isolated over half-integer brackets by Sturm
-    counts; each width-one bracket holds one integer candidate, verified
-    by direct evaluation.
+    After the power of n is stripped, integer brackets (lo, hi) below a
+    Cauchy-type bound are halved while Descartes' rule of signs admits a
+    root strictly inside: the number of sign changes of
+    (1+x)^d p((lo + hi*x)/(1+x)) bounds the roots in (lo, hi).  Every
+    bracket's midpoint is tested by direct evaluation, so each integer
+    root is met as a midpoint, on integers only.
     """
     cs = p.int_coeffs()
     if not cs:
         raise ValueError("zero polynomial")
-    roots = set()
-    v = 0
-    while v < len(cs) and cs[v] == 0:
-        v += 1
-    if v:
-        roots.add(0)
-        cs = cs[v:]
-    if len(cs) == 1:
-        return sorted(roots)
-    _, cs, _ = zgcd_split(cs, zderiv(cs))
-    chain = _sturm_chain(cs)
-    bound = 1 + max(abs(c) for c in cs) // abs(cs[-1]) + 1
-
-    def search(lo, hi, ilo, ihi):
-        # (lo, hi] brackets integers ilo..ihi
-        a = _safe_point(chain, lo)
-        b = _safe_point(chain, hi)
-        if _variations(chain, a) - _variations(chain, b) <= 0:
-            return
-        if ilo == ihi:
-            if not zeval(cs, ilo):
-                roots.add(ilo)
-            return
-        mid = (ilo + ihi) // 2
-        search(lo, Fraction(2 * mid + 1, 2), ilo, mid)
-        search(Fraction(2 * mid + 1, 2), hi, mid + 1, ihi)
-
-    search(Fraction(-1, 2), Fraction(2 * bound + 1, 2), 0, bound)
+    v = zval(cs)
+    roots = [0] if v else []
+    cs = cs[v:]
+    brackets = [(0, 2 + max(map(abs, cs)) // abs(cs[-1]))]
+    while brackets:
+        lo, hi = brackets.pop()
+        if hi - lo < 2:
+            continue
+        w = [c * (hi - lo) ** i for i, c in enumerate(zshift_arg(cs, lo))]
+        signs = [c > 0 for c in zshift_arg(w[::-1], 1) if c]
+        if all(a == b for a, b in zip(signs, signs[1:])):
+            continue
+        mid = (lo + hi) // 2
+        if not zeval(cs, mid):
+            roots.append(mid)
+        brackets += [(lo, mid), (mid, hi)]
     return sorted(roots)
 
 
