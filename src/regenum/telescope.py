@@ -8,9 +8,12 @@ reducer's full action on the matching term, and dominance guarantees the
 cancellation is exact.  Termination confines results to the stairs.
 
 Successive reduced forms g-check_i of d_t^i applied to the pairing are
-produced incrementally (g-check * g + d_t g-check), and an incremental
-fraction-free elimination over Z[t] detects the first Q(t)-linear
-dependency, whose cofactors are the ODE coefficients.
+produced incrementally (g-check * g + d_t g-check) until the first
+Q(t)-linear dependency among them, whose cofactors are the ODE
+coefficients.  Each new row is proved independent, when it is, by its
+image at one point t0 modulo a prime; only a row that image cannot
+separate starts a fraction-free elimination over Z[t], whose back
+substitution gives the cofactors.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from math import gcd as _igcd
 
-from .exactnum import RF_ONE, RatFunc, UniPoly, zcontent, zdivexact, zgcd, zgcd_split, zkron, zmul, zneg, zscale, zunkron, zval
+from .exactnum import RF_ONE, RatFunc, UniPoly, zbits, zcontent, zdivexact, zgcd, zgcd_split, zkron, zkrondiv, zmul, zneg, zscale, zunkron, zval
 from .models import ModelSpec, build_g, build_generators
 from .modgb import eta_embed, extract_reducers, is_dominant, module_buchberger
 from .polyring import MPoly, exp_div, exp_divides, grevlex_key, stairs_and_dim, sweep
@@ -134,20 +137,27 @@ def _even_part(a):
     return None if any(a[v + 1::2]) else (v, a[v::2])
 
 
-def _bits(a):
-    return max(map(abs, a)).bit_length()
+def _inflate(a, s):
+    """t^s * a(t^2)."""
+    if not a:
+        return a
+    out = [0] * (s + 2 * len(a) - 1)
+    out[s::2] = a
+    return out
 
 
 class _BareissStep:
-    """One elimination step against a stored pivot row: the map
+    """One fraction-free elimination step: the map
     (rc, pc) -> (rc*plead - pc*m) / prev, the two products and their
-    difference formed by one Kronecker evaluation at t = 2^(8*nb).
+    difference formed by one Kronecker evaluation at t = 2^(8*nb), and the
+    exact division by prev done on that packed difference (``zkrondiv``).
 
     The width is rigorous: a product x*y has coefficients below
     2^(bits(x) + bits(y) + bitlen(min(len x, len y))), and one bit more
-    holds the difference, one the sign.  When every operand is
-    t^v * A(t^2) and the two products' shifts have equal parity, the
-    products are formed in T = t^2, with half the packed length, and
+    holds the difference, one the sign; prev's coefficients fit as well.
+    When every operand is t^v * A(t^2) and the two products' shifts have
+    equal parity, the products are formed in T = t^2, with half the packed
+    length, divided there by prev when prev is t^w * P(t^2) too, and
     inflated back.  plead and m are packed once per step and width.
     """
 
@@ -155,6 +165,8 @@ class _BareissStep:
         self.fixed = (plead, m)
         self.even = (_even_part(plead), _even_part(m) if m else None)
         self.prev = prev
+        self.peven = _even_part(prev)
+        self.pbits = zbits(prev)
         self.images = {}
 
     def __call__(self, rc, pc):
@@ -170,8 +182,10 @@ class _BareissStep:
             terms = [((ex[0] + ey[0] - s0) >> 1, ex[1], ey[1], (k, True)) for (ex, ey), (_, k) in zip(evens, ops)]
         else:
             terms = [(0, x, self.fixed[k], (k, False)) for x, k in ops]
-        # bits of the largest product bound plus two, in whole bytes
-        nb = (max(_bits(x) + _bits(y) + min(len(x), len(y)).bit_length() for _, x, y, _ in terms) + 9) // 8
+        # bits of the largest product bound plus two, and of prev plus one,
+        # in whole bytes
+        bound = max(zbits(x) + zbits(y) + min(len(x), len(y)).bit_length() for _, x, y, _ in terms)
+        nb = (max(bound + 2, self.pbits + 1) + 7) // 8
         acc = 0
         n = 0
         for shift, x, y, key in terms:
@@ -181,43 +195,110 @@ class _BareissStep:
             p = zkron(x, nb) * img << (8 * nb * shift)
             acc = acc - p if key[0] else acc + p  # pc*m (k == 1) is subtracted
             n = max(n, shift + len(x) + len(y) - 1)
-        v = zunkron(acc, nb, n)
-        if s0 is not None and v:
-            w = [0] * (s0 + 2 * len(v) - 1)
-            w[s0::2] = v
-            v = w
-        return zdivexact(v, self.prev) if self.prev != [1] else v
+        if not acc:
+            return []
+        prev = self.prev
+        if prev == [1]:
+            v = zunkron(acc, nb, n)
+        elif s0 is None:
+            return zkrondiv(acc, prev, nb, n)
+        elif self.peven:
+            # acc is t^s0 * E(T) and prev t^pv * P(T): divide E by T^h * P
+            # with h the least that leaves t^(s0 + 2h - pv) a polynomial
+            pv, pp = self.peven
+            h = max(0, (pv - s0 + 1) >> 1)
+            v = zkrondiv(acc, [0] * h + pp, nb, n)
+            s0 += 2 * h - pv
+        else:
+            return zdivexact(_inflate(zunkron(acc, nb, n), s0), prev)
+        return v if s0 is None else _inflate(v, s0)
+
+
+def _back_step(pairs, div):
+    """One step of the back substitution: -(sum of x*y over the pairs) / div,
+    by one Kronecker evaluation and one exact division of the packed sum;
+    every x and y is non-zero."""
+    if not pairs:
+        return []
+    bound = max(zbits(x) + zbits(y) + min(len(x), len(y)).bit_length() for x, y in pairs)
+    nb = (max(bound + len(pairs).bit_length(), zbits(div)) + 8) // 8
+    acc = 0
+    for x, y in pairs:
+        acc -= zkron(x, nb) * zkron(y, nb)
+    n = max(len(x) + len(y) - 1 for x, y in pairs)
+    if div == [1]:
+        return zunkron(acc, nb, n)
+    return zkrondiv(acc, div, nb, n)
+
+
+#: The rank test's modulus, the Mersenne prime 2^61 - 1, and the fixed
+#: point t0 != 0 at which it specializes t.
+_P = (1 << 61) - 1
+_T0 = 1234567890123456789
+
+_independent_solves = 0
+
+
+def independent_solves() -> int:
+    """How many exact solves in this process found their rows independent:
+    rows whose image at t0 could not prove it, and each later row of the
+    same accumulator, which has dropped its images."""
+    return _independent_solves
+
+
+def _mod_image(a):
+    """The integer polynomial a at t0, mod p."""
+    x = 0
+    for c in reversed(a):
+        x = (x * _T0 + c) % _P
+    return x
+
+
+def _row_image(coords):
+    """The RatFunc coordinates at t0, mod p, or None when a denominator
+    cd * dp(t0) vanishes there."""
+    out = []
+    for c in coords:
+        if not c.cn:
+            out.append(0)
+            continue
+        d = c.cd * _mod_image(c.dp) % _P
+        if not d:
+            return None
+        out.append(c.cn * pow(_T0, c.e, _P) * _mod_image(c.np) * pow(d, -1, _P) % _P)
+    return out
 
 
 class KernelAccumulator:
-    """Incremental left-kernel detection over Q(t) by single-step Bareiss
-    elimination on integer polynomials, with exact cofactor tracking.
+    """Incremental left-kernel detection over Q(t), output-sensitive: rows
+    are proved independent by an image mod p, and only a row that may be
+    dependent starts one exact solve, whose cofactors are the dependency.
 
-    Rows are cleared of denominators on entry.  Each elimination step
-    cross-multiplies with a stored pivot row and divides exactly by the
-    previous pivot entry (Sylvester's identity keeps every entry, cofactor
-    columns included, a minor of the denominator-cleared input), so growth
-    stays determinant-sized without any gcd work in the loop; the full
-    content is stripped once from the final dependency vector.  Each
-    entry's cross-multiplication rc*plead - pc*m is one Kronecker
-    evaluation (``_BareissStep``): the operands are packed as integers at
-    t = 2^W with W from their actual sizes, a bound that cannot overflow,
-    the difference is formed by two big-integer products, and its digits
-    are read back; operands in t^2 are packed at half length.  Entries are
-    stored as polynomials, and the exact division stays polynomial.
+    Each row is cleared of denominators on entry (the power of t by one
+    shift, the rest by gcds) and of its integer content; the cleared row
+    is stored with its seed, the factor den/g it was multiplied by.  Its
+    coordinates at t = t0 mod p are then reduced against an echelon of the
+    earlier rows' images: specialization never raises rank, so a non-zero
+    remainder proves the rows independent over Q(t), and ``add_row``
+    returns None with no exact work.  A zero remainder, or a coordinate
+    with no image (its denominator vanishes at t0), leads to one
+    fraction-free elimination of the transposed matrix (``_solve``).  If
+    that finds the rows independent after all, t0 was unlucky for them:
+    the images are dropped, and every later row is solved exactly.
     """
 
     def __init__(self, width: int):
         self.width = width
-        # stored pivot rows: (pivot_col, coords, cofs, pivot_entry)
+        # cleared rows and the factors they were multiplied by
         self.rows = []
-        self.count = 0
+        self.seeds = []
+        # (pivot column, image row scaled to 1 there), or None once dropped
+        self.echelon = []
 
     def add_row(self, coords):
         """coords: RatFunc coordinates.  Returns None while independent, or
         the dependency cofactors as integer UniPolys (index = row)."""
-        idx = self.count
-        self.count += 1
+        global _independent_solves
         # common denominator t^s * den: the lcm of the t-free parts
         # cd*dp by gcds, the power of t as one shift
         den = [1]
@@ -240,7 +321,6 @@ class KernelAccumulator:
                 q = den if c.cd == 1 and c.dp == (1,) else zdivexact(den, zscale(c.dp, c.cd))
                 row.append([0] * (s + c.e) + zscale(q if c.np == (1,) else zmul(c.np, q), c.cn))
         den = [0] * s + den
-        cofs = {idx: den}
         # pre-elimination scaling is free: strip the integer content now
         g = zcontent(den)
         for cs in row:
@@ -249,34 +329,80 @@ class KernelAccumulator:
                 break
         if g > 1:
             row = [[x // g for x in cs] for cs in row]
-            cofs = {idx: [x // g for x in den]}
+            den = [x // g for x in den]
+        self.rows.append(row)
+        self.seeds.append(den)
 
-        prev = [1]
-        for pcol, pcoords, pcofs, plead in self.rows:
-            step = _BareissStep(plead, row[pcol], prev)
-            row = [step(rc, pc) for rc, pc in zip(row, pcoords)]
-            ncofs = {}
-            for key in set(cofs) | set(pcofs):
-                v = step(cofs.get(key, []), pcofs.get(key, []))
-                if v:
-                    ncofs[key] = v
-            cofs = ncofs
-            prev = plead
-        for col in range(self.width):
-            if row[col]:
-                self.rows.append((col, row, cofs, row[col]))
+        if self.echelon is not None:
+            img = _row_image(coords)
+            if img is not None and self._extends(img):
                 return None
-        # dependent: strip the full content once -- the power of t by the
-        # least valuation, the rest by gcds of the t-free parts -- then
-        # normalize the sign on the first non-zero cofactor
-        v = min(map(zval, cofs.values()))
-        g = []
-        for cs in cofs.values():
-            cs = cs[zval(cs):]
-            g = zgcd(g, cs) if g else cs
-            if g == [1]:
+        dep = self._solve()
+        if dep is None:
+            _independent_solves += 1
+            self.echelon = None
+        return dep
+
+    def _extends(self, img):
+        """Reduce the image against the echelon; a non-zero remainder joins
+        it, and True says the row is independent."""
+        for col, vec in self.echelon:
+            a = img[col]
+            if a:
+                img = [(x - a * y) % _P for x, y in zip(img, vec)]
+        for col, a in enumerate(img):
+            if a:
+                inv = pow(a, -1, _P)
+                self.echelon.append((col, [x * inv % _P for x in img]))
+                return True
+        return False
+
+    def _solve(self):
+        """The dependency of the newest row on the earlier ones, or None.
+
+        Single-step Bareiss elimination runs on the transposed matrix, whose
+        column i is row i; each column's pivot row is the first remaining
+        row with a non-zero entry there, swapped into place.  The earlier
+        rows are independent, so the first column without a pivot is the
+        newest row's.  Fraction-free back substitution then gives c_f = the
+        last pivot and c_k = -(sum over j > k of U_kj*c_j) / U_kk, each
+        division exact (Cramer: every c_k is a minor).  Multiplied by the
+        rows' seeds, the c_k annihilate the given coordinates; the full
+        content is stripped once -- the power of t by the least valuation,
+        the rest by gcds of the t-free parts -- and the sign is normalized
+        on the first non-zero cofactor.
+        """
+        n = len(self.rows)
+        u = [list(col) for col in zip(*self.rows)]
+        prev = [1]
+        for f in range(n):
+            piv = next((i for i in range(f, self.width) if u[i][f]), None)
+            if piv is None:
                 break
-        out = [cofs.get(i, [])[v:] for i in range(idx + 1)]
+            u[f], u[piv] = u[piv], u[f]
+            top = u[f]
+            for cur in u[f + 1:]:
+                step = _BareissStep(top[f], cur[f], prev)
+                for j in range(f + 1, n):
+                    cur[j] = step(cur[j], top[j])
+            prev = top[f]
+        else:
+            return None
+        cofs = [[] for _ in range(n)]
+        cofs[f] = prev
+        for k in range(f - 1, -1, -1):
+            uk = u[k]
+            cofs[k] = _back_step([(uk[j], cofs[j]) for j in range(k + 1, f + 1) if uk[j] and cofs[j]], uk[k])
+        cofs = [_times_seed(c, seed) for c, seed in zip(cofs, self.seeds)]
+        v = min(zval(cs) for cs in cofs if cs)
+        g = []
+        for cs in cofs:
+            if cs:
+                cs = cs[zval(cs):]
+                g = zgcd(g, cs) if g else cs
+                if g == [1]:
+                    break
+        out = [cs[v:] for cs in cofs]
         if g and g != [1]:
             out = [zdivexact(cs, g) if cs else [] for cs in out]
         for cs in out:
@@ -285,6 +411,19 @@ class KernelAccumulator:
                     out = [zneg(c) for c in out]
                 break
         return [UniPoly(cs) for cs in out]
+
+
+def _times_seed(c, seed):
+    """c * seed: a shift and a scale when the seed is a*t^s, as in every
+    derivation whose denominators are powers of t, else one Kronecker
+    product."""
+    if not c:
+        return c
+    s = zval(seed)
+    if len(seed) == s + 1:
+        return [0] * s + zscale(c, seed[s])
+    nb = (zbits(c) + zbits(seed) + min(len(c), len(seed)).bit_length() + 8) // 8
+    return zunkron(zkron(c, nb) * zkron(seed, nb), nb, len(c) + len(seed) - 1)
 
 
 def left_kernel_step(rows):

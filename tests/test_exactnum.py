@@ -11,11 +11,14 @@ from regenum.exactnum import (
     UniPoly,
     _prs_gcd,
     gcd_fallbacks,
+    kron_div_fallbacks,
     rf,
     unipoly_gcd_content,
     zdivexact,
     zgcd,
     zgcd_split,
+    zkron,
+    zkrondiv,
     zmul,
     zprim,
 )
@@ -544,6 +547,85 @@ def long_div(a, b):
     if any(r):
         raise ArithmeticError("inexact")
     return q
+
+
+def old_zdivexact(a, b):
+    """Reference: the schoolbook loop zdivexact ran before it divided the
+    Kronecker images."""
+    if not a:
+        return []
+    q = [0] * (len(a) - len(b) + 1)
+    r = list(a)
+    lb = b[-1]
+    for i in range(len(q) - 1, -1, -1):
+        if len(r) - 1 == i + len(b) - 1 and r:
+            c = r[-1]
+            qc = c // lb
+            if qc * lb != c:
+                raise ArithmeticError("inexact polynomial division")
+            q[i] = qc
+            if qc:
+                for j, cb in enumerate(b):
+                    r[i + j] -= qc * cb
+            while r and not r[-1]:
+                r.pop()
+    if r:
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
+def outcome(div, a, b):
+    try:
+        return div(a, b)
+    except ArithmeticError:
+        return ArithmeticError
+
+
+class TestZdivexact:
+    def test_random_pairs_against_old_loop(self):
+        rng = random.Random(61)
+        inexact = 0
+        for _ in range(1500):
+            bits = rng.choice((1, 3, 30, 200))
+            b = rand_zpoly(rng, rng.randint(0, 6), bits)
+            if rng.random() < 0.2:
+                b[-1] = rng.choice((1, -1))
+            q = rand_zpoly(rng, rng.randint(0, 8), rng.choice((1, 3, 30, 200)))
+            a = zmul(b, q)
+            kind = rng.randrange(5)
+            if kind == 1:    # a low term off
+                a[rng.randrange(len(a))] += rng.choice((1, -1, 2**bits))
+            elif kind == 2:  # a random dividend of any length
+                a = rand_zpoly(rng, rng.randint(0, 12), bits)
+            elif kind == 3:  # a leading coefficient no multiple of b's
+                a[-1] += 1
+            while a and not a[-1]:
+                a.pop()
+            want = outcome(old_zdivexact, a, b)
+            inexact += want is ArithmeticError
+            assert outcome(zdivexact, a, b) == want
+            if kind == 0:
+                assert want == q
+        assert 300 < inexact < 1200
+
+    def test_forced_fallback(self):
+        # (t - 1)^40 has ~37-bit coefficients, as do (t + 1)^40 and their
+        # product (t^2 - 1)^40: the lanes sized for the operands cannot
+        # certify the quotient, so the schoolbook loop finds it
+        a, b, q = [1], [1], [1]
+        for _ in range(40):
+            a, b, q = zmul(a, [-1, 0, 1]), zmul(b, [1, 1]), zmul(q, [-1, 1])
+        before = kron_div_fallbacks()
+        assert zdivexact(a, b) == q
+        assert kron_div_fallbacks() == before + 1
+        # a non-zero remainder of the images needs no fallback
+        with pytest.raises(ArithmeticError):
+            zdivexact(zmul(a, [1, 1]), zmul(b, [1, 1, 1]))
+        # one-byte lanes hold 100*t^2 and 10*t but not the check of 10*t
+        assert zkrondiv(zkron([0, 0, 100], 1), [0, 10], 1, 3) == [0, 10]
+        assert kron_div_fallbacks() == before + 2
+        assert zkrondiv(zkron([0, 0, 7], 1), [0, 1], 1, 3) == [0, 7]
+        assert kron_div_fallbacks() == before + 2
 
 
 class TestPowerOfT:

@@ -1,16 +1,20 @@
-"""The Kronecker helpers and the kernel's Bareiss step against a test-local
-copy of the schoolbook accumulator it replaced: same return value at the
-same row, and the same stored pivot rows after every row."""
+"""The Kronecker helpers and the kernel against a test-local copy of the
+schoolbook accumulator it replaced: same return value at the same row, and
+cofactors that annihilate the rows over Q(t)."""
 
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from regenum import telescope
 from regenum.exactnum import (
     RF_ZERO,
     RatFunc,
     UniPoly,
+    kron_div_fallbacks,
     zcontent,
     zdivexact,
     zeval,
@@ -23,7 +27,8 @@ from regenum.exactnum import (
     zsub,
     zunkron,
 )
-from regenum.telescope import KernelAccumulator
+from regenum.models import parse_model
+from regenum.telescope import KernelAccumulator, independent_solves, run_pipeline
 
 from conftest import pipeline
 
@@ -115,7 +120,9 @@ def assert_same_run(rows):
     for i, coords in enumerate(rows):
         got, want = acc.add_row(coords), ref.add_row(coords)
         assert got == want, i
-        assert acc.rows == ref.rows, i
+        if got is not None:
+            for j in range(len(coords)):
+                assert sum((RatFunc.of(c) * row[j] for c, row in zip(got, rows)), RF_ZERO) == RF_ZERO, (i, j)
         if want is not None:
             return i
     return None
@@ -252,3 +259,70 @@ class TestBareissStep:
         t = rf_poly([0, 1])
         r2 = [t * a - b.scale_rat(3) for a, b in zip(r0, r1)]
         assert assert_same_run([r0, r1, r2, r0]) == 2
+        # the same with powers of t of either sign in the coordinates, which
+        # the image at t0 must map as t0^e
+        tinv = t.inverse()
+        r0 = [a * p for a, p in zip(r0, (t * t, tinv, RatFunc.from_rat(1), tinv * tinv * tinv))]
+        r1 = [a * p for a, p in zip(r1, (tinv, t * t * t, tinv * tinv, t))]
+        r2 = [t * a - b.scale_rat(3) for a, b in zip(r0, r1)]
+        assert assert_same_run([r0, r1, r2, r0]) == 2
+
+
+class TestModularImage:
+    """Rows the image at t0 mod p cannot separate are solved exactly: the
+    result is the reference's, and an independent outcome drops the image
+    for the rest of the accumulator."""
+
+    T0, P = telescope._T0, telescope._P
+
+    def test_rows_equal_at_t0(self):
+        # row1 = row0 * (1 + (t - t0)*u) with u different per coordinate:
+        # independent over Q(t), the same row at t = t0
+        rng = random.Random(89)
+        t = rf_poly([0, 1])
+        for width in (2, 3, 4):
+            r0 = [rf_poly([rng.randint(-2**40, 2**40) for _ in range(3)]) for _ in range(width)]
+            r1 = [a * rf_poly([1 - self.T0 * u, u]) for a, u in zip(r0, (2, -5, 7, 1))]
+            rest = [[rf_poly([rng.randint(-99, 99) for _ in range(2)]) for _ in range(width)] for _ in range(width - 2)]
+            rows = [r0, r1] + rest
+            dep = [sum((t * row[j] if i % 2 else row[j].scale_rat(3) for i, row in enumerate(rows)), RF_ZERO)
+                   for j in range(width)]
+            before = independent_solves()
+            assert assert_same_run(rows + [dep]) == width
+            # row 1, then each independent row after the image was dropped
+            assert independent_solves() == before + width - 1
+            acc = KernelAccumulator(width)
+            assert acc.add_row(r0) is None and acc.echelon
+            assert acc.add_row(r1) is None and acc.echelon is None
+
+    def test_denominator_vanishing_at_t0(self):
+        # t - (t0 + p) and the scalar p vanish at t0 mod p but not over Q(t):
+        # a row with 1/(t - t0 - p) or 1/p has no image, and an exact solve
+        # decides it
+        t0, p = self.T0, self.P
+        pole = RatFunc.of(UniPoly((1,)), UniPoly((-(t0 + p), 1)))
+        tiny = RatFunc.from_rat(Fraction(1, p))
+        t = rf_poly([0, 1])
+        for rows in ([[pole, rf_poly([0, 1])], [RatFunc.from_rat(1), rf_poly([1, 0, 1])]],
+                     [[RatFunc.from_rat(1), rf_poly([1, 0, 1])], [tiny, pole]],
+                     [[rf_poly([2, 1]), tiny], [pole, rf_poly([5])]]):
+            dep = [rows[0][j] * t + rows[1][j] for j in range(2)]
+            before = independent_solves()
+            assert assert_same_run(rows + [dep]) == 2
+            assert independent_solves() > before
+        # a row with no image that is dependent needs no second solve
+        before = independent_solves()
+        assert assert_same_run([[rf_poly([0, 1])], [pole]]) == 1
+        assert independent_solves() == before
+
+
+def test_pipeline_models_need_no_fallback():
+    """The degree-1 to degree-3 models and se,ll,{4..6}: the image at t0
+    proves every independent row, and every packed division certifies."""
+    models = [f"{e},{l},{{{','.join(map(str, K))}}}"
+              for e in ("se", "me") for l in ("ll", "la", "lh")
+              for r in (1, 2, 3) for K in itertools.combinations((1, 2, 3), r)]
+    before = independent_solves(), kron_div_fallbacks()
+    for ms in models + ["se,ll,{4}", "se,ll,{5}", "se,ll,{6}"]:
+        run_pipeline(parse_model(ms))
+    assert (independent_solves(), kron_div_fallbacks()) == before
