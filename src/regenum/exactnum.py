@@ -20,6 +20,8 @@ their others.
 and back, so that a sum of polynomial products becomes one big-integer
 expression at C speed (Kronecker substitution); ``zkrondiv`` divides such
 an image exactly, and a bound on the quotient's digits certifies it.
+``zdot`` is the one packed step built on them: a sum of products divided
+exactly by a polynomial, in t^2 when its operands allow.
 
 All values are immutable after construction; operations are pure.
 """
@@ -301,6 +303,69 @@ def zdivexact(a, b):
     if nb > _KRON_DIV_NB:
         return _zdiv_schoolbook(a, b)
     return zkrondiv(zkron(a, nb), b, nb, len(a))
+
+
+def _even_part(a):
+    """``(v, a[v::2])`` when the non-zero polynomial a is t^v * A(t^2),
+    else None."""
+    v = zval(a)
+    return None if any(a[v + 1::2]) else (v, a[v::2])
+
+
+def _inflate(a, s):
+    """t^s * a(t^2)."""
+    out = [0] * (s + 2 * len(a) - 1)
+    out[s::2] = a
+    return out
+
+
+def zdot(pairs, div=(1,)):
+    """(sum of x*y over the pairs) / div, exactly; raises ArithmeticError
+    when div does not divide the sum.  Pairs with an empty operand are
+    skipped.
+
+    The sum is one Kronecker evaluation at t = 2^(8*nb), on lanes that hold
+    the sum of n products with coefficients below 2^(bits(x) + bits(y) +
+    bitlen(min(len x, len y))) each, its sign, and div.  When every operand
+    is t^v * A(t^2) and the products' powers t^(vx + vy) share a parity,
+    the sum t^s * E(t^2) is formed in T = t^2 at half the length, and a
+    divisor t^w * P(t^2) divides E there as T^h * P, h the least that
+    leaves t^(s + 2h - w) a polynomial; other divisors go to ``zdivexact``.
+    """
+    ops = [(x, y) for x, y in pairs if x and y]
+    if not ops:
+        return []
+    terms = []
+    for x, y in ops:
+        ex = _even_part(x)
+        ey = ex and _even_part(y)
+        if not ey:
+            break
+        terms.append((ex[0] + ey[0], ex[1], ey[1]))
+    s = None
+    if len(terms) == len(ops) and len({v & 1 for v, _, _ in terms}) == 1:
+        s = min(v for v, _, _ in terms)
+        terms = [((v - s) >> 1, x, y) for v, x, y in terms]
+    else:
+        terms = [(0, x, y) for x, y in ops]
+    bound = max(zbits(x) + zbits(y) + min(len(x), len(y)).bit_length() for _, x, y in terms)
+    nb = (max(bound + len(terms).bit_length(), zbits(div)) + 8) // 8
+    acc = sum(zkron(x, nb) * zkron(y, nb) << (8 * nb * shift) for shift, x, y in terms)
+    n = max(shift + len(x) + len(y) - 1 for shift, x, y in terms)
+    if not acc:
+        return []
+    if len(div) == 1 and div[0] == 1:
+        q = zunkron(acc, nb, n)
+    elif s is None:
+        return zkrondiv(acc, div, nb, n)
+    elif (ev := _even_part(div)) is None:
+        return zdivexact(_inflate(zunkron(acc, nb, n), s), div)
+    else:
+        w, p = ev
+        h = max(0, (w - s + 1) >> 1)
+        q = zkrondiv(acc, [0] * h + p, nb, n)
+        s += 2 * h - w
+    return q if s is None else _inflate(q, s)
 
 
 def _zdiv_schoolbook(a, b):

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from math import gcd as _igcd
 
-from .exactnum import RF_ONE, RatFunc, UniPoly, zbits, zcontent, zdivexact, zgcd, zgcd_split, zkron, zkrondiv, zmul, zneg, zscale, zunkron, zval
+from .exactnum import RF_ONE, RatFunc, UniPoly, zcontent, zdivexact, zdot, zgcd, zgcd_split, zmul, zneg, zscale, zval
 from .models import ModelSpec, build_g, build_generators
 from .modgb import eta_embed, extract_reducers, is_dominant, module_buchberger
 from .polyring import MPoly, exp_div, exp_divides, grevlex_key, stairs_and_dim, sweep
@@ -128,107 +128,6 @@ def replay(s: MPoly, shat: MPoly, trace, basis: ReductionBasis) -> bool:
     for j, sigma in sigmas.items():
         acc = acc + apply_op(basis.reducers[j].g, sigma)
     return acc == s
-
-
-def _even_part(a):
-    """``(v, a[v::2])`` when the non-zero polynomial a is t^v * A(t^2),
-    else None."""
-    v = zval(a)
-    return None if any(a[v + 1::2]) else (v, a[v::2])
-
-
-def _inflate(a, s):
-    """t^s * a(t^2)."""
-    if not a:
-        return a
-    out = [0] * (s + 2 * len(a) - 1)
-    out[s::2] = a
-    return out
-
-
-class _BareissStep:
-    """One fraction-free elimination step: the map
-    (rc, pc) -> (rc*plead - pc*m) / prev, the two products and their
-    difference formed by one Kronecker evaluation at t = 2^(8*nb), and the
-    exact division by prev done on that packed difference (``zkrondiv``).
-
-    The width is rigorous: a product x*y has coefficients below
-    2^(bits(x) + bits(y) + bitlen(min(len x, len y))), and one bit more
-    holds the difference, one the sign; prev's coefficients fit as well.
-    When every operand is t^v * A(t^2) and the two products' shifts have
-    equal parity, the products are formed in T = t^2, with half the packed
-    length, divided there by prev when prev is t^w * P(t^2) too, and
-    inflated back.  plead and m are packed once per step and width.
-    """
-
-    def __init__(self, plead, m, prev):
-        self.fixed = (plead, m)
-        self.even = (_even_part(plead), _even_part(m) if m else None)
-        self.prev = prev
-        self.peven = _even_part(prev)
-        self.pbits = zbits(prev)
-        self.images = {}
-
-    def __call__(self, rc, pc):
-        # the non-zero products, as (x, k): x times fixed[k]
-        ops = [(x, k) for k, x in enumerate((rc, pc)) if x and self.fixed[k]]
-        if not ops:
-            return []
-        evens = [(_even_part(x), self.even[k]) for x, k in ops]
-        s0 = None
-        if all(ex and ey for ex, ey in evens) and len({(ex[0] + ey[0]) & 1 for ex, ey in evens}) == 1:
-            s0 = min(ex[0] + ey[0] for ex, ey in evens)
-            # (shift in T above t^s0, x, y, image key)
-            terms = [((ex[0] + ey[0] - s0) >> 1, ex[1], ey[1], (k, True)) for (ex, ey), (_, k) in zip(evens, ops)]
-        else:
-            terms = [(0, x, self.fixed[k], (k, False)) for x, k in ops]
-        # bits of the largest product bound plus two, and of prev plus one,
-        # in whole bytes
-        bound = max(zbits(x) + zbits(y) + min(len(x), len(y)).bit_length() for _, x, y, _ in terms)
-        nb = (max(bound + 2, self.pbits + 1) + 7) // 8
-        acc = 0
-        n = 0
-        for shift, x, y, key in terms:
-            img = self.images.get((key, nb))
-            if img is None:
-                img = self.images[(key, nb)] = zkron(y, nb)
-            p = zkron(x, nb) * img << (8 * nb * shift)
-            acc = acc - p if key[0] else acc + p  # pc*m (k == 1) is subtracted
-            n = max(n, shift + len(x) + len(y) - 1)
-        if not acc:
-            return []
-        prev = self.prev
-        if prev == [1]:
-            v = zunkron(acc, nb, n)
-        elif s0 is None:
-            return zkrondiv(acc, prev, nb, n)
-        elif self.peven:
-            # acc is t^s0 * E(T) and prev t^pv * P(T): divide E by T^h * P
-            # with h the least that leaves t^(s0 + 2h - pv) a polynomial
-            pv, pp = self.peven
-            h = max(0, (pv - s0 + 1) >> 1)
-            v = zkrondiv(acc, [0] * h + pp, nb, n)
-            s0 += 2 * h - pv
-        else:
-            return zdivexact(_inflate(zunkron(acc, nb, n), s0), prev)
-        return v if s0 is None else _inflate(v, s0)
-
-
-def _back_step(pairs, div):
-    """One step of the back substitution: -(sum of x*y over the pairs) / div,
-    by one Kronecker evaluation and one exact division of the packed sum;
-    every x and y is non-zero."""
-    if not pairs:
-        return []
-    bound = max(zbits(x) + zbits(y) + min(len(x), len(y)).bit_length() for x, y in pairs)
-    nb = (max(bound + len(pairs).bit_length(), zbits(div)) + 8) // 8
-    acc = 0
-    for x, y in pairs:
-        acc -= zkron(x, nb) * zkron(y, nb)
-    n = max(len(x) + len(y) - 1 for x, y in pairs)
-    if div == [1]:
-        return zunkron(acc, nb, n)
-    return zkrondiv(acc, div, nb, n)
 
 
 #: The rank test's modulus, the Mersenne prime 2^61 - 1, and the fixed
@@ -366,11 +265,11 @@ class KernelAccumulator:
         rows are independent, so the first column without a pivot is the
         newest row's.  Fraction-free back substitution then gives c_f = the
         last pivot and c_k = -(sum over j > k of U_kj*c_j) / U_kk, each
-        division exact (Cramer: every c_k is a minor).  Multiplied by the
-        rows' seeds, the c_k annihilate the given coordinates; the full
-        content is stripped once -- the power of t by the least valuation,
-        the rest by gcds of the t-free parts -- and the sign is normalized
-        on the first non-zero cofactor.
+        division exact (Cramer: every c_k is a minor); each step of both is
+        one ``zdot``.  Multiplied by the rows' seeds, the c_k annihilate the
+        given coordinates; the full content is stripped once -- the power
+        of t by the least valuation, the rest by gcds of the t-free parts --
+        and the sign is normalized on the first non-zero cofactor.
         """
         n = len(self.rows)
         u = [list(col) for col in zip(*self.rows)]
@@ -382,9 +281,9 @@ class KernelAccumulator:
             u[f], u[piv] = u[piv], u[f]
             top = u[f]
             for cur in u[f + 1:]:
-                step = _BareissStep(top[f], cur[f], prev)
+                m = zneg(cur[f])
                 for j in range(f + 1, n):
-                    cur[j] = step(cur[j], top[j])
+                    cur[j] = zdot([(cur[j], top[f]), (top[j], m)], prev)
             prev = top[f]
         else:
             return None
@@ -392,14 +291,20 @@ class KernelAccumulator:
         cofs[f] = prev
         for k in range(f - 1, -1, -1):
             uk = u[k]
-            cofs[k] = _back_step([(uk[j], cofs[j]) for j in range(k + 1, f + 1) if uk[j] and cofs[j]], uk[k])
-        cofs = [_times_seed(c, seed) for c, seed in zip(cofs, self.seeds)]
+            cofs[k] = zneg(zdot([(uk[j], cofs[j]) for j in range(k + 1, f + 1)], uk[k]))
+        cofs = [zdot([(c, seed)]) for c, seed in zip(cofs, self.seeds)]
         v = min(zval(cs) for cs in cofs if cs)
         g = []
         for cs in cofs:
             if cs:
                 cs = cs[zval(cs):]
-                g = zgcd(g, cs) if g else cs
+                if not g:
+                    g = cs
+                else:
+                    try:
+                        zdivexact(cs, g)  # g stays the gcd, up to sign
+                    except ArithmeticError:
+                        g = zgcd(g, cs)
                 if g == [1]:
                     break
         out = [cs[v:] for cs in cofs]
@@ -411,19 +316,6 @@ class KernelAccumulator:
                     out = [zneg(c) for c in out]
                 break
         return [UniPoly(cs) for cs in out]
-
-
-def _times_seed(c, seed):
-    """c * seed: a shift and a scale when the seed is a*t^s, as in every
-    derivation whose denominators are powers of t, else one Kronecker
-    product."""
-    if not c:
-        return c
-    s = zval(seed)
-    if len(seed) == s + 1:
-        return [0] * s + zscale(c, seed[s])
-    nb = (zbits(c) + zbits(seed) + min(len(c), len(seed)).bit_length() + 8) // 8
-    return zunkron(zkron(c, nb) * zkron(seed, nb), nb, len(c) + len(seed) - 1)
 
 
 def left_kernel_step(rows):

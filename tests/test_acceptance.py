@@ -1,9 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The k=7 checks that
-derive the ODE or unroll its counts mirror the multi-hour regime and are
-marked `extended`; enable them with `pytest -m extended`.  The k=7
-Groebner stage alone runs by default.
+derive the ODE or unroll its counts take minutes (one order-20 derivation
+about 3 min on a 2-core VM) and are marked `extended`; enable them with
+`pytest -m extended`.  The k=7 Groebner stage alone runs by default.
 """
 
 import io

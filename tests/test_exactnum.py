@@ -14,12 +14,15 @@ from regenum.exactnum import (
     kron_div_fallbacks,
     rf,
     unipoly_gcd_content,
+    zadd,
     zdivexact,
+    zdot,
     zgcd,
     zgcd_split,
     zkron,
     zkrondiv,
     zmul,
+    zneg,
     zprim,
 )
 
@@ -626,6 +629,161 @@ class TestZdivexact:
         assert kron_div_fallbacks() == before + 2
         assert zkrondiv(zkron([0, 0, 7], 1), [0, 1], 1, 3) == [0, 7]
         assert kron_div_fallbacks() == before + 2
+
+
+def spread(a, v):
+    """t^v * a(t^2)."""
+    out = [0] * (v + 2 * len(a) - 1)
+    out[v::2] = a
+    return out
+
+
+def dot_ref(pairs, div=(1,)):
+    """Reference: the sum of schoolbook products, then long division."""
+    acc = []
+    for x, y in pairs:
+        acc = zadd(acc, zmul(x, y))
+    return long_div(acc, list(div)) if acc else []
+
+
+class TestZdot:
+    @staticmethod
+    def spy(monkeypatch):
+        """The divisors zdot hands to zkrondiv and to zdivexact."""
+        seen = []
+        for name in ("zkrondiv", "zdivexact"):
+            def wrap(*args, _name=name, _fn=getattr(exactnum, name)):
+                seen.append((_name, list(args[1])))
+                return _fn(*args)
+            monkeypatch.setattr(exactnum, name, wrap)
+        return seen
+
+    def test_random_sums_against_reference(self):
+        rng = random.Random(67)
+        tally = {"inexact": 0, "zero": 0}
+        for _ in range(1500):
+            bits = rng.choice((1, 4, 40, 300))
+            n = rng.randint(1, 4)
+            # 0: generic operands; 1: every operand t^v*A(t^2), the
+            # products' powers of one parity; 2: the same, mixed parities
+            shape = rng.randrange(3)
+            parity = [rng.randrange(2) for _ in range(n)] if shape == 2 else [rng.randrange(2)] * n
+            if shape:
+                div = spread(rand_zpoly(rng, rng.randint(0, 3), bits), rng.randint(0, 5))
+            else:
+                div = rand_zpoly(rng, rng.randint(0, 4), bits)
+            if rng.random() < 0.2:
+                div = [1]
+            pairs = []
+            for par in parity:
+                if shape:
+                    vx = rng.randint(0, 4)
+                    x = spread(rand_zpoly(rng, rng.randint(0, 4), bits), vx)
+                    y = spread(rand_zpoly(rng, rng.randint(0, 4), bits), 2 * rng.randint(0, 2) + (vx + par) % 2)
+                else:
+                    x, y = rand_zpoly(rng, rng.randint(0, 6), bits), rand_zpoly(rng, rng.randint(0, 6), bits)
+                if rng.random() < 0.8:  # a multiple of div
+                    x = zmul(x, div)
+                pairs.append((x, y))
+            if rng.random() < 0.1:  # the last pair cancels the first
+                pairs[-1] = (zneg(pairs[0][0]), pairs[0][1])
+            want = outcome(dot_ref, pairs, div)
+            tally["inexact"] += want is ArithmeticError
+            tally["zero"] += want == []
+            assert outcome(zdot, pairs, div) == want
+        assert 100 < tally["inexact"] < 700 and tally["zero"] > 20
+
+    def test_same_parity_in_t2(self, monkeypatch):
+        # (1 + 2t^2)(t + t^3) + t^3(t^2 - 3) = t(1 + 3t^4), each first
+        # factor times t(1 + t^2): the products are t^2 and t^4 times
+        # polynomials in T = t^2, and the sum is divided there by 1 + T
+        x1, y1, x2, y2 = [1, 0, 2], [0, 1, 0, 1], [0, 0, 0, 1], [-3, 0, 1]
+        div = [0, 1, 0, 1]
+        pairs = [(zmul(x1, div), y1), (zmul(x2, div), y2)]
+        seen = self.spy(monkeypatch)
+        assert zdot(pairs, div) == dot_ref(pairs, div) == [0, 1, 0, 0, 0, 3]
+        assert seen == [("zkrondiv", [1, 1])]
+
+    def test_differing_parities(self, monkeypatch):
+        # t^2*1 + t*1 is not t^v*A(t^2): the products are packed in t
+        pairs = [([0, 0, 1], [1]), ([0, 1], [1]), ([], [5])]
+        seen = self.spy(monkeypatch)
+        assert zdot(pairs, [0, 1]) == [1, 1]
+        assert seen == [("zkrondiv", [0, 1])]
+
+    def test_divisor_above_offset(self, monkeypatch):
+        # A(T)*B(T) + A(T)*(T^2*P*R - B)(T) = t^4*A*P*R, offset 0, over
+        # t^3*P(T): the sum is divided by T^2*P, the quotient shifted by t
+        rng = random.Random(5)
+        a, b, r, p = (rand_zpoly(rng, 3, 20) for _ in range(4))
+        a[0], b[0] = a[0] or 1, b[0] or 1
+        x = spread(a, 0)
+        pairs = [(x, spread(b, 0)), (x, spread(zadd(zneg(b), [0, 0] + zmul(p, r)), 0))]
+        div = spread(p, 3)
+        seen = self.spy(monkeypatch)
+        got = zdot(pairs, div)
+        assert got == dot_ref(pairs, div) == [0] + spread(zmul(a, r), 0)
+        assert seen == [("zkrondiv", [0, 0] + p)]
+
+    def test_divisor_not_in_t2(self, monkeypatch):
+        # the products are in t^2, the divisor 1 + t is not
+        div = [1, 1]
+        pairs = [([1, 0, -1], [1, 0, 1]), ([1, 0, -1], [0, 0, 3])]
+        seen = self.spy(monkeypatch)
+        assert zdot(pairs, div) == dot_ref(pairs, div) == [1, -1, 4, -4]
+        assert seen[0] == ("zdivexact", div)
+
+    def test_wide_lanes(self):
+        # 300-bit coefficients need lanes of about 80 bytes: the division
+        # is the schoolbook loop's, and no certificate fails
+        rng = random.Random(7)
+        div = rand_zpoly(rng, 5, 300)
+        pairs = [(zmul(div, rand_zpoly(rng, 8, 300)), rand_zpoly(rng, 8, 300)) for _ in range(3)]
+        before = kron_div_fallbacks()
+        assert zdot(pairs, div) == dot_ref(pairs, div)
+        assert zdot(pairs) == dot_ref(pairs)
+        assert kron_div_fallbacks() == before
+
+    def test_lanes_at_the_bound(self):
+        # three products of length-3 operands with coefficients 2^b - 1
+        # make a middle coefficient 9*(2^b - 1)^2, just under the bound
+        # 2^(2b + 2 + 2) the lanes are sized for; its sign needs one more
+        # bit, which a lane of 2b + 4 bits would not have
+        for b in range(1, 41):
+            x = [2**b - 1] * 3
+            for pairs in ([(x, x)] * 3, [(x, zneg(x))] * 3):
+                assert zdot(pairs) == dot_ref(pairs)
+
+    def test_divisor_wider_than_sum(self):
+        # the product of 1 - t^(2^i), i < 10, has coefficients +-1 and is
+        # divisible by (1 - t)^10, whose middle coefficient 252 needs the
+        # wider lanes
+        x, div = [1], [1]
+        for i in range(10):
+            x = zmul(x, [1] + [0] * (2**i - 1) + [-1])
+            div = zmul(div, [1, -1])
+        assert zdot([(x, [1])], div) == long_div(x, div)
+
+    def test_cancelling_sum(self):
+        x, y = [3, -1, 4], [1, 5, 9, 2]
+        assert zdot([(x, y), (zneg(x), y)]) == []
+        assert zdot([(x, y), (y, zneg(x))], [7, 1]) == []
+        assert zdot([(spread(x, 1), y), (zneg(spread(x, 1)), y)], [0, 1]) == []
+
+    def test_empty_operands(self):
+        assert zdot([]) == []
+        assert zdot([([], [1, 2]), ([3], [])]) == []
+        assert zdot([([], [1, 2]), ([1, 1], [1, -1])], [1, 1]) == [1, -1]
+
+    def test_inexact_divisor(self):
+        with pytest.raises(ArithmeticError):
+            zdot([([1, 1], [1])], [1, 2])
+        with pytest.raises(ArithmeticError):  # a divisor wider than the sum
+            zdot([([1, 1], [1])], [1, 2**100])
+        with pytest.raises(ArithmeticError):  # in T = t^2: 1 + T over T
+            zdot([([1, 0, 1], [1])], [0, 0, 1])
+        with pytest.raises(ArithmeticError):  # in t^2, a divisor that is not
+            zdot([([1, 0, 1], [1])], [1, 1])
 
 
 class TestPowerOfT:
