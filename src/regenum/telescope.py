@@ -8,12 +8,17 @@ reducer's full action on the matching term, and dominance guarantees the
 cancellation is exact.  Termination confines results to the stairs.
 
 Successive reduced forms g-check_i of d_t^i applied to the pairing are
-produced incrementally (g-check * g + d_t g-check) until the first
-Q(t)-linear dependency among them, whose cofactors are the ODE
-coefficients.  Each new row is proved independent, when it is, by its
-image at one point t0 modulo a prime; only a row that image cannot
-separate starts a fraction-free elimination over Z[t], whose back
-substitution gives the cofactors.
+produced incrementally, g-check_{i+1} = red(g * g-check_i + d_t g-check_i),
+until the first Q(t)-linear dependency among them, whose cofactors are the
+ODE coefficients.  The reduction is Q(t)-linear and d_t g-check_i already
+lies under the stairs, so that is sum_e g-check_i[e] red(g p^e) +
+d_t g-check_i over the stair monomials e: each red(g p^e) is swept once per
+derivation, the first time e enters a support, and every later g-check is
+one linear step on those images; its certificate is composed from theirs.
+Each new row is proved independent, when it is, by its image at one point
+t0 modulo a prime; only a row that image cannot separate starts a
+fraction-free elimination over Z[t], whose back substitution gives the
+cofactors.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from math import gcd as _igcd
 from .exactnum import RF_ONE, RatFunc, UniPoly, zcontent, zdivexact, zdot, zgcd, zgcd_split, zmul, zneg, zscale, zval
 from .models import ModelSpec, build_g, build_generators
 from .modgb import eta_embed, extract_reducers, is_dominant, module_buchberger
-from .polyring import MPoly, exp_div, exp_divides, grevlex_key, stairs_and_dim, sweep
+from .polyring import MPoly, add_term, exp_div, exp_divides, grevlex_key, stairs_and_dim, sweep
 from .seqtools import ODE
 from .weyl import apply_op
 
@@ -86,7 +91,10 @@ def red(s: MPoly, basis: ReductionBasis, want_trace: bool = False):
     Dominance (checked by ``reduction_basis``) puts every term a step
     subtracts below its target.  G_j acts Q(t)-linearly, so each image
     G_j . p^shift is formed once per basis (``basis.images``) and every
-    step scales it by -c.
+    step scales it by -c.  Which steps run depends on the monomials alone,
+    each linearly in its coefficient, so red itself is Q(t)-linear:
+    ``run_pipeline`` relies on red(sum a_e s_e) == sum a_e red(s_e), traces
+    scaled alike.
 
     Returns (s-check, trace); the trace lists (j, coeff, exponent) per
     elimination step so that s == s-check + sum_j G_j . sigma_j exactly,
@@ -363,6 +371,9 @@ def run_pipeline(model: ModelSpec, want_trace: bool = False) -> PipelineResult:
     stairs = basis.stairs
     ghat = [MPoly.const(k, 1)]
     traces = [] if want_trace else None
+    # stair monomial e -> red(g . p^e) with its trace, reduced the first
+    # time e enters the support of a g-check
+    stair_images = {}
     acc = KernelAccumulator(len(stairs))
     reduction_time = 0.0
     kernel_time = 0.0
@@ -374,11 +385,24 @@ def run_pipeline(model: ModelSpec, want_trace: bool = False) -> PipelineResult:
         if len(ghat) > len(stairs) + 1:
             raise RuntimeError("no dependency within the stairs dimension; bug")
         t0 = time.perf_counter()
-        nxt = g * ghat[-1] + ghat[-1].map_coeffs(lambda c: c.derivative())
-        shat, trace = red(nxt, basis, want_trace)
-        reduction_time += time.perf_counter() - t0
+        cur = ghat[-1]
+        # red is Q(t)-linear and d_t g-check lies under the stairs already:
+        # red(g * g-check + d_t g-check) = sum_e g-check[e] red(g p^e) + d_t g-check
+        terms = {}
+        for e, a in cur.terms.items():
+            img = stair_images.get(e)
+            if img is None:
+                img = stair_images[e] = red(g.mul_term(e, RF_ONE), basis, want_trace)
+            for f, x in img[0].terms.items():
+                add_term(terms, f, a * x)
+        for f, c in cur.terms.items():
+            add_term(terms, f, c.derivative())
+        shat = MPoly._of(k, terms)
         if want_trace:
+            nxt = g * cur + cur.map_coeffs(lambda c: c.derivative())
+            trace = [(j, a * c, shift) for e, a in cur.terms.items() for j, c, shift in stair_images[e][1]]
             traces.append((nxt, shat, trace))
+        reduction_time += time.perf_counter() - t0
         ghat.append(shat)
         t0 = time.perf_counter()
         dep = acc.add_row([shat.coeff(e) for e in stairs])
