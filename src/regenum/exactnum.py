@@ -10,7 +10,9 @@ because the rest of the pipeline needs tight control over normalization
 every gcd in the hot paths runs on primitive integer polynomials, never
 on floating point.  Gcds use an evaluation heuristic whose result is
 accepted only after it divides both operands exactly; when it gives up,
-a primitive pseudo-remainder sequence computes the gcd.  ``RatFunc``
+a primitive pseudo-remainder sequence computes the gcd.  ``zgcd``
+returns the gcd with both cofactors, the heuristic's being the quotients
+its certificate formed, so a split divides each operand once.  ``RatFunc``
 keeps the power of t apart as an exponent, so its polynomials are prime
 to t and a power-of-t denominator costs no gcd at all; the odd-degree
 derivations measured so far (k = 3, 5 and the Groebner stage of k = 7)
@@ -154,43 +156,58 @@ def gcd_fallbacks() -> int:
 
 
 def zgcd(a, b):
-    """Gcd in Z[t] (contents included), positive leading coefficient;
-    ``zgcd([], b)`` is b itself with a positive leading coefficient.
+    """``(g, a/g, b/g)``: the gcd g in Z[t] (contents included) with a
+    positive leading coefficient, and the two cofactors.  When g is 1 the
+    operands come back as given; ``zgcd([], b)`` is ``(|b|, [], [s])``,
+    with s = +-1 the sign of b's leading coefficient and |b| = s*b.
 
     A constant primitive part makes the gcd the gcd of the contents.
     Other primitive parts go through a heuristic gcd (GCDHEU: Char, Geddes
-    and Gonnet, J. Symbolic Comput. 7, 1989) and, only when that gives
-    up, through a primitive pseudo-remainder sequence.
+    and Gonnet, J. Symbolic Comput. 7, 1989), whose certificate already
+    divides both of them, and, only when that gives up, through a primitive
+    pseudo-remainder sequence and one division of each.  The contents and
+    signs are scaled back in: a/g = (ca/gc) * (pa/h).
     """
     global _fallbacks
     if not a or not b:
-        c = list(a or b)
-        return zneg(c) if c and c[-1] < 0 else c
+        c = a or b
+        if not c:
+            return [], [], []
+        unit = [-1 if c[-1] < 0 else 1]
+        g = zscale(c, unit[0])
+        return (g, [], unit) if b else (g, unit, [])
     ca, pa = zprim(a)
     cb, pb = zprim(b)
     gc = _igcd(ca, cb)
     if len(pa) == 1 or len(pb) == 1:
-        return [gc]
-    g = _heu_gcd(pa, pb)
-    if g is None:
-        _fallbacks += 1
-        g = _prs_gcd(pa, pb)
-    if gc != 1:
-        g = [c * gc for c in g]
-    return g
+        h, qa, qb = [1], pa, pb
+    else:
+        split = _heu_gcd(pa, pb)
+        if split is None:
+            _fallbacks += 1
+            h = _prs_gcd(pa, pb)
+            split = h, zdivexact(pa, h), zdivexact(pb, h)
+        h, qa, qb = split
+    if gc == 1 and h == [1]:
+        return h, a, b
+    fa, fb = ca // gc, cb // gc
+    return (h if gc == 1 else zscale(h, gc), qa if fa == 1 else zscale(qa, fa),
+            qb if fb == 1 else zscale(qb, fb))
 
 
 def _heu_gcd(pa, pb):
-    """Gcd of two non-constant primitive polynomials with positive leading
-    coefficients, or None when no evaluation point certified one.
+    """``(h, pa/h, pb/h)`` for the gcd h of two non-constant primitive
+    polynomials with positive leading coefficients, or None when no
+    evaluation point certified one.
 
     gamma = igcd(pa(xi), pb(xi)) is lifted to a polynomial by its balanced
     base-xi digits, and the primitive part h of that lift is accepted only
-    if it divides both pa and pb exactly.  That test proves h is the gcd
-    only while xi >= 2*min(|pa|, |pb|) + 2 in the max norm (Geddes, Czapor
-    and Labahn, Algorithms for Computer Algebra, Thm 7.7), so xi starts
-    above that bound and only ever grows.  h == [1] divides everything
-    and is accepted as it is.
+    if it divides both pa and pb exactly, and the two quotients are
+    returned with it.  That test proves h is the gcd only while
+    xi >= 2*min(|pa|, |pb|) + 2 in the max norm (Geddes, Czapor and
+    Labahn, Algorithms for Computer Algebra, Thm 7.7), so xi starts above
+    that bound and only ever grows.  h == [1] divides everything and is
+    accepted as it is, with pa and pb as its quotients.
     """
     xi = 2 * min(max(map(abs, pa)), max(map(abs, pb))) + 29
     for _ in range(_HEU_TRIES):
@@ -205,13 +222,11 @@ def _heu_gcd(pa, pb):
             h.append(d)
         h = zprim(h)[1]
         if h == [1]:
-            return h
+            return h, pa, pb
         if (len(h) <= min(len(pa), len(pb))
                 and not pa[-1] % h[-1] and not pb[-1] % h[-1]):
             try:
-                zdivexact(pa, h)
-                zdivexact(pb, h)
-                return h
+                return h, zdivexact(pa, h), zdivexact(pb, h)
             except ArithmeticError:
                 pass
         xi = xi * 73794 // 27011
@@ -389,15 +404,6 @@ def _zdiv_schoolbook(a, b):
     if any(r[:db]):
         raise ArithmeticError("inexact polynomial division")
     return q
-
-
-def zgcd_split(a, b):
-    """``(g, a/g, b/g)`` with g = zgcd(a, b); the divisions are skipped
-    when g is 1."""
-    g = zgcd(a, b)
-    if g == [1]:
-        return g, a, b
-    return g, zdivexact(a, g), zdivexact(b, g)
 
 
 def zeval(a, x):
@@ -602,7 +608,7 @@ def unipoly_gcd_content(a: UniPoly, b: UniPoly) -> UniPoly:
         raise ValueError("gcd(0, 0) is undefined")
     ia = a.as_integer_primitive()[1].int_coeffs()
     ib = b.as_integer_primitive()[1].int_coeffs()
-    return UniPoly(zgcd(ia, ib))
+    return UniPoly(zgcd(ia, ib)[0])
 
 
 def _qmul(a1, b1, a2, b2):
@@ -716,7 +722,7 @@ class RatFunc:
         # Gauss: quotients of primitives by their primitive gcd stay
         # primitive with positive leading coefficients.
         if len(np) > 1 and len(dp) > 1:
-            _, np, dp = zgcd_split(np, dp)
+            _, np, dp = zgcd(np, dp)
         return cls(cn, cd, e + v - w, tuple(np), tuple(dp))
 
     # -- structure ----------------------------------------------------
@@ -783,14 +789,14 @@ class RatFunc:
         elif d1 == (1,):
             g, q, n1 = (1,), d2, _zprod(n1, d2)
         else:
-            g, q1, q2 = zgcd_split(d1, d2)
+            g, q1, q2 = zgcd(d1, d2)
             q, n1, n2 = _zprod(q1, q2), _zprod(n1, q2), _zprod(n2, q1)
         e, nn = _tsum(s1, n1, self.e, s2, n2, other.e)
         if not nn:
             return RF_ZERO
         ct, nn = zprim(nn)
         if len(g) > 1 and len(nn) > 1:
-            _, nn, g = zgcd_split(nn, g)
+            _, nn, g = zgcd(nn, g)
         h = _igcd(ct, bb)
         den = q if len(g) == 1 else tuple(g) if len(q) == 1 else _zprod(g, q)
         return RatFunc(ct // h, bb // h, e, tuple(nn), den)
@@ -810,9 +816,9 @@ class RatFunc:
         cn, cd = _qmul(a1, self.cd, a2, other.cd)
         n1, d1, n2, d2 = self.np, self.dp, other.np, other.dp
         if d2 != (1,) and n1 != (1,):
-            _, n1, d2 = zgcd_split(n1, d2)
+            _, n1, d2 = zgcd(n1, d2)
         if d1 != (1,) and n2 != (1,):
-            _, n2, d1 = zgcd_split(n2, d1)
+            _, n2, d1 = zgcd(n2, d1)
         # a length-1 primitive is 1: the other factor is the product
         np = n2 if len(n1) == 1 else n1 if len(n2) == 1 else zmul(n1, n2)
         dp = d2 if len(d1) == 1 else d1 if len(d2) == 1 else zmul(d1, d2)

@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 from math import gcd as _igcd
 
-from .exactnum import RF_ONE, RatFunc, UniPoly, zcontent, zdivexact, zdot, zgcd, zgcd_split, zmul, zneg, zscale, zval
+from .exactnum import RF_ONE, RatFunc, UniPoly, zcontent, zdivexact, zdot, zgcd, zmul, zneg, zscale, zval
 from .models import ModelSpec, build_g, build_generators
 from .modgb import eta_embed, extract_reducers, is_dominant, module_buchberger
 from .polyring import MPoly, add_term, exp_div, exp_divides, grevlex_key, stairs_and_dim, sweep
@@ -161,21 +161,6 @@ def _mod_image(a):
     return x
 
 
-def _row_image(coords):
-    """The RatFunc coordinates at t0, mod p, or None when a denominator
-    cd * dp(t0) vanishes there."""
-    out = []
-    for c in coords:
-        if not c.cn:
-            out.append(0)
-            continue
-        d = c.cd * _mod_image(c.dp) % _P
-        if not d:
-            return None
-        out.append(c.cn * pow(_T0, c.e, _P) * _mod_image(c.np) * pow(d, -1, _P) % _P)
-    return out
-
-
 class KernelAccumulator:
     """Incremental left-kernel detection over Q(t), output-sensitive: rows
     are proved independent by an image mod p, and only a row that may be
@@ -183,15 +168,17 @@ class KernelAccumulator:
 
     Each row is cleared of denominators on entry (the power of t by one
     shift, the rest by gcds) and of its integer content; the cleared row
-    is stored with its seed, the factor den/g it was multiplied by.  Its
-    coordinates at t = t0 mod p are then reduced against an echelon of the
-    earlier rows' images: specialization never raises rank, so a non-zero
-    remainder proves the rows independent over Q(t), and ``add_row``
-    returns None with no exact work.  A zero remainder, or a coordinate
-    with no image (its denominator vanishes at t0), leads to one
-    fraction-free elimination of the transposed matrix (``_solve``).  If
-    that finds the rows independent after all, t0 was unlucky for them:
-    the images are dropped, and every later row is solved exactly.
+    is stored with its seed, the factor den/g it was multiplied by.  The
+    stored row's values at t = t0 mod p are then reduced against an echelon
+    of the earlier rows' images.  Each cleared row is a non-zero Q(t)-
+    multiple of its coordinates, and its entries are polynomials, so
+    specializing them never raises rank: a non-zero remainder proves the
+    rows independent over Q(t), and ``add_row`` returns None with no exact
+    work.  A zero remainder (also when the clearing factor vanishes at t0)
+    leads to one fraction-free elimination of the transposed matrix
+    (``_solve``).  If that finds the rows independent after all, t0 was
+    unlucky for them: the images are dropped, and every later row is
+    solved exactly.
     """
 
     def __init__(self, width: int):
@@ -218,7 +205,7 @@ class KernelAccumulator:
                     if den == [1]:
                         den = extra
                     else:
-                        _, _, extra = zgcd_split(den, extra)
+                        _, _, extra = zgcd(den, extra)
                         den = zmul(den, extra)
         row = []
         for c in coords:
@@ -240,10 +227,8 @@ class KernelAccumulator:
         self.rows.append(row)
         self.seeds.append(den)
 
-        if self.echelon is not None:
-            img = _row_image(coords)
-            if img is not None and self._extends(img):
-                return None
+        if self.echelon is not None and self._extends([_mod_image(cs) for cs in row]):
+            return None
         dep = self._solve()
         if dep is None:
             _independent_solves += 1
@@ -312,7 +297,7 @@ class KernelAccumulator:
                     try:
                         zdivexact(cs, g)  # g stays the gcd, up to sign
                     except ArithmeticError:
-                        g = zgcd(g, cs)
+                        g = zgcd(g, cs)[0]
                 if g == [1]:
                     break
         out = [cs[v:] for cs in cofs]

@@ -18,12 +18,12 @@ from regenum.exactnum import (
     zdivexact,
     zdot,
     zgcd,
-    zgcd_split,
     zkron,
     zkrondiv,
     zmul,
     zneg,
     zprim,
+    zscale,
 )
 
 from conftest import rand_rat, rand_ratfunc, rand_unipoly, up
@@ -103,7 +103,7 @@ def assert_canonical(x):
     assert isinstance(x.np, tuple) and isinstance(x.dp, tuple)
     assert x.np[0] and x.dp[0]
     assert zprim(x.np) == (1, list(x.np)) and zprim(x.dp) == (1, list(x.dp))
-    assert zgcd(list(x.np), list(x.dp)) == [1]
+    assert zgcd(list(x.np), list(x.dp))[0] == [1]
 
 
 class TestRatFuncShortcuts:
@@ -428,10 +428,15 @@ class TestUniPoly:
 
 
 class TestZgcdSplit:
+    """zgcd returns the gcd with both cofactors: each is the exact quotient
+    of its operand, and g times it gives the operand back."""
+
     def check(self, a, b):
-        g, ca, cb = zgcd_split(list(a), list(b))
-        assert g == zgcd(a, b)
-        assert list(ca) == zdivexact(a, g) and list(cb) == zdivexact(b, g)
+        g, ca, cb = zgcd(list(a), list(b))
+        if a and b:
+            assert g == prs_gcd(a, b)
+        for x, q in ((a, ca), (b, cb)):
+            assert list(q) == zdivexact(x, g) and zmul(g, q) == list(x)
         return g, list(ca), list(cb)
 
     def test_random_pairs(self):
@@ -442,8 +447,24 @@ class TestZgcdSplit:
             g, ca, cb = self.check(a, b)
             assert zmul(g, ca) == a and zmul(g, cb) == b
 
+    def test_signed_contents(self):
+        rng = random.Random(19)
+        for _ in range(200):
+            common, fa, fb = (rand_zpoly(rng, rng.randint(0, 4), 20) for _ in range(3))
+            sa, sb = rng.choice((1, -1, 4, -6)), rng.choice((1, -2, 3, -18))
+            self.check(zscale(zmul(common, fa), sa), zscale(zmul(common, fb), sb))
+        assert self.check([6, 0, -6], [4, 4]) == ([2, 2], [3, -3], [2])
+
+    def test_constants(self):
+        assert self.check([6], [-4, 2]) == ([2], [3], [-2, 1])
+        assert self.check([-6], [9]) == ([3], [-2], [3])
+        assert self.check([3, 0, -3], [-5]) == ([1], [3, 0, -3], [-5])
+
     def test_coprime_returns_operands(self):
         assert self.check([1, 1], [2, 1]) == ([1], [1, 1], [2, 1])
+        a, b = (1, 1), [-2, 0, -1]
+        _, ca, cb = zgcd(a, b)
+        assert ca is a and cb is b
 
     def test_constant_gcd_above_one(self):
         # 2 + 4t and 2(1 + t)(2 + t) share only the content 2
@@ -452,7 +473,24 @@ class TestZgcdSplit:
     def test_zero_operand(self):
         assert self.check([], [-4, -8]) == ([4, 8], [], [-1])
         assert self.check([3, 3], []) == ([3, 3], [1], [])
-        assert zgcd([], []) == []
+        assert zgcd([], []) == ([], [], [])
+
+    def test_heuristic_split_divides_twice(self, monkeypatch):
+        # the heuristic's certificate forms both cofactors: a non-trivial
+        # split makes its two exact divisions and no more
+        g, f1, f2 = [3, -1, 2], [5, 0, 7, 1], [-4, 9, 2]
+        a, b = zscale(zmul(g, f1), -6), zscale(zmul(g, f2), 4)
+        calls = []
+
+        def counted(x, y):
+            calls.append(y)
+            return zdivexact(x, y)
+
+        monkeypatch.setattr(exactnum, "zdivexact", counted)
+        before = gcd_fallbacks()
+        assert zgcd(a, b) == ([6, -2, 4], zscale(f1, -3), zscale(f2, 2))
+        assert calls == [[3, -1, 2], [3, -1, 2]]
+        assert gcd_fallbacks() == before
 
 
 def rand_zpoly(rng, deg, bits):
@@ -496,7 +534,7 @@ class TestZgcdHeuristic:
             b = zmul(common, rand_zpoly(rng, rng.randint(0, 5), bits))
             sa, sb = rng.choice((1, -1, 2, -12)), rng.choice((1, -3, 6, 60))
             a, b = [c * sa for c in a], [c * sb for c in b]
-            g = zgcd(a, b)
+            g = zgcd(a, b)[0]
             assert g == prs_gcd(a, b)
             zdivexact(g, zprim(common)[1])
 
@@ -513,7 +551,7 @@ class TestZgcdHeuristic:
         assert len(a) == len(b) == 150
         assert max(abs(c) for c in a + b).bit_length() >= 118
         before = gcd_fallbacks()
-        assert zgcd(a, b) == g
+        assert zgcd(a, b) == (g, f1, f2)
         assert gcd_fallbacks() == before
 
     def test_forced_fallback(self, monkeypatch):
@@ -523,8 +561,12 @@ class TestZgcdHeuristic:
         b = [-6 * c for c in zmul(common, rand_zpoly(rng, 5, 30))]
         monkeypatch.setattr(exactnum, "_heu_gcd", lambda pa, pb: None)
         before = gcd_fallbacks()
-        assert zgcd(a, b) == prs_gcd(a, b)
+        g = prs_gcd(a, b)
+        assert zgcd(a, b) == (g, zdivexact(a, g), zdivexact(b, g))
         assert gcd_fallbacks() == before + 1
+        # a coprime pair that gives up comes back as given
+        assert zgcd([1, 1], [-2, 0, -1]) == ([1], [1, 1], [-2, 0, -1])
+        assert gcd_fallbacks() == before + 2
 
 
 def convolve(a, b):
@@ -812,10 +854,9 @@ class TestPowerOfT:
         for m in self.monomials():
             for a in self.A:
                 g = prs_gcd(a, m)
-                assert zgcd(a, m) == g and zgcd(m, a) == g
                 qa, qm = long_div(a, g), long_div(m, g)
-                assert zgcd_split(a, m) == (g, qa, qm)
-                assert zgcd_split(m, a) == (g, qm, qa)
+                assert zgcd(a, m) == (g, qa, qm)
+                assert zgcd(m, a) == (g, qm, qa)
 
     def test_mul(self):
         for m in self.monomials():
@@ -848,6 +889,5 @@ class TestPowerOfT:
         for m in self.monomials():
             pos = m if m[-1] > 0 else [-x for x in m]
             unit = [1 if m[-1] > 0 else -1]
-            assert zgcd([], m) == zgcd(m, []) == pos
-            assert zgcd_split([], m) == (pos, [], unit)
-            assert zgcd_split(m, []) == (pos, unit, [])
+            assert zgcd([], m) == (pos, [], unit)
+            assert zgcd(m, []) == (pos, unit, [])

@@ -7,7 +7,9 @@ the ``se,ll,{6}`` ODE before the int-pair scalar and the Kronecker kernel
 step; before RatFunc kept the power of t as an exponent, the ``se,ll,{6}``
 basis, whose derivation mixes powers of t with other denominators, and
 both ``se,la,{2,4,5}`` digests, an even-degree model whose denominators
-are all powers of t), so any later change to the derivation's speed is
+are all powers of t; ``se,la,{2,4,6}`` and ``me,ll,{6}``, even-degree
+derivations whose gcds have non-trivial cofactors, before ``zgcd``
+returned its cofactors), so any later change to the derivation's speed is
 held to byte-identical ODEs and reduced Groebner bases.
 """
 
@@ -40,6 +42,10 @@ GOLDEN = [
     ("se,ll,{6}", "gb", "64529a551b8ef9efe23f0b85572b94d47fd76bfb98c1790b919b640da5d6a125"),
     ("se,la,{2,4,5}", "ode", "afe37cd8d3cfec393e88ba9154efbdc5750f74abdc43e5cd6849c1a470405c8c"),
     ("se,la,{2,4,5}", "gb", "b71bb3282d0f71b0af0ae34984ad31941c60177e7dd0a9c273b64da53e4f6076"),
+    ("se,la,{2,4,6}", "ode", "a87f79db71397e01c200da2df109700e2b4628bd67d7c8db710ff101e696718e"),
+    ("se,la,{2,4,6}", "gb", "dfa0b02043542b61c0ea40b3d2fca06bdd3c7dce8d58a3f8af3af23fff2105f8"),
+    ("me,ll,{6}", "ode", "d306406c747477a1cc6cbc94efb407d536dbe19826b67dbdd0259b4b28a34d93"),
+    ("me,ll,{6}", "gb", "f65c2713b2e7552c3129db84c67874db203d9015013d94b5fc53c4aac2985557"),
 ]
 
 

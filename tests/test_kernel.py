@@ -19,7 +19,6 @@ from regenum.exactnum import (
     zdivexact,
     zeval,
     zgcd,
-    zgcd_split,
     zkron,
     zmul,
     zneg,
@@ -58,7 +57,7 @@ class SchoolbookAccumulator:
         for c in coords:
             if not c.is_zero():
                 extra = zscale(folded(c)[1], c.cd)
-                _, _, extra = zgcd_split(den, extra)
+                _, _, extra = zgcd(den, extra)
                 den = zmul(den, extra)
         row = []
         for c in coords:
@@ -99,7 +98,7 @@ class SchoolbookAccumulator:
                 return None
         g = []
         for cs in cofs.values():
-            g = zgcd(g, cs) if g else list(cs)
+            g = zgcd(g, cs)[0] if g else list(cs)
             if g == [1]:
                 break
         out = [cofs.get(i, []) for i in range(idx + 1)]
@@ -269,9 +268,9 @@ class TestBareissStep:
 
 
 class TestModularImage:
-    """Rows the image at t0 mod p cannot separate are solved exactly: the
-    result is the reference's, and an independent outcome drops the image
-    for the rest of the accumulator."""
+    """Rows the image of the cleared rows at t0 mod p cannot separate are
+    solved exactly: the result is the reference's, and an independent
+    outcome drops the image for the rest of the accumulator."""
 
     T0, P = telescope._T0, telescope._P
 
@@ -296,21 +295,25 @@ class TestModularImage:
             assert acc.add_row(r1) is None and acc.echelon is None
 
     def test_denominator_vanishing_at_t0(self):
-        # t - (t0 + p) and the scalar p vanish at t0 mod p but not over Q(t):
-        # a row with 1/(t - t0 - p) or 1/p has no image, and an exact solve
-        # decides it
+        # t - (t0 + p) and the scalar p vanish at t0 mod p but not over Q(t).
+        # The rank test reads the row cleared of them, a polynomial row, so
+        # 1/(t - t0 - p) or 1/p alone leaves an image that proves the row
+        # independent with no exact solve.  A row with both, [1/p, 1/(t -
+        # t0 - p)], clears to [t - t0 - p, p], whose image is zero: an exact
+        # solve decides it.
         t0, p = self.T0, self.P
         pole = RatFunc.of(UniPoly((1,)), UniPoly((-(t0 + p), 1)))
         tiny = RatFunc.from_rat(Fraction(1, p))
         t = rf_poly([0, 1])
-        for rows in ([[pole, rf_poly([0, 1])], [RatFunc.from_rat(1), rf_poly([1, 0, 1])]],
-                     [[RatFunc.from_rat(1), rf_poly([1, 0, 1])], [tiny, pole]],
-                     [[rf_poly([2, 1]), tiny], [pole, rf_poly([5])]]):
+        for rows, solves in (([[pole, rf_poly([0, 1])], [RatFunc.from_rat(1), rf_poly([1, 0, 1])]], 0),
+                             ([[RatFunc.from_rat(1), rf_poly([1, 0, 1])], [tiny, pole]], 1),
+                             ([[rf_poly([2, 1]), tiny], [pole, rf_poly([5])]], 0)):
             dep = [rows[0][j] * t + rows[1][j] for j in range(2)]
             before = independent_solves()
             assert assert_same_run(rows + [dep]) == 2
-            assert independent_solves() > before
-        # a row with no image that is dependent needs no second solve
+            assert independent_solves() == before + solves
+        # a dependent row with a pole at t0 starts the one solve that finds
+        # its dependency
         before = independent_solves()
         assert assert_same_run([[rf_poly([0, 1])], [pole]]) == 1
         assert independent_solves() == before

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from regenum.exactnum import UniPoly, zderiv, zeval, zgcd_split
+from regenum.exactnum import UniPoly, zderiv, zeval, zgcd
 from regenum.seqtools import (
     InconsistentError,
     Recurrence,
@@ -83,7 +83,7 @@ def ref_roots(p):
         cs = cs[v:]
     if len(cs) == 1:
         return sorted(roots)
-    _, cs, _ = zgcd_split(cs, zderiv(cs))
+    _, cs, _ = zgcd(cs, zderiv(cs))
     chain = sturm_chain(cs)
     bound = 1 + max(abs(c) for c in cs) // abs(cs[-1]) + 1
 
