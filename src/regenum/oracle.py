@@ -6,6 +6,11 @@
   pairs exp(f) only against monomials of weight at most n*max(K).  The
   truncated exp(f) and the powers of g are integer term maps, each over
   one common denominator, so each series coefficient is one ``Fraction``.
+  A monomial is one packed int with its weight as the top digit, in a
+  base above every weight the call reaches: a product of monomials is one
+  addition, and truncation by weight is a threshold on the key.  exp(f)
+  carries its pairing weights, each coefficient multiplied by zweight of
+  its monomial once when exp(f) is built.
 
 * ``graph_count_dp``: counts the labelled structures themselves by a
   vertex-by-vertex dynamic program over sorted residual-degree states.
@@ -41,32 +46,50 @@ def zweight(e) -> int:
     return out
 
 
-def _int_terms(m: MPoly):
-    """m's t-free coefficients as (integer term map, common denominator)."""
-    rats = {e: c.as_rational() for e, c in m.terms.items()}
+def _pack(e, base: int) -> int:
+    """The monomial p^e as one int, weight(e)*base^k + sum e_i*base^i: the
+    weight is the top digit, so a product of monomials is one addition and
+    every monomial past a weight w has a key of at least (w+1)*base^k.
+    Exact while every weight stays below base, which bounds each e_i."""
+    key = _weight(e)
+    for x in reversed(e):
+        key = key * base + x
+    return key
+
+
+def _int_terms(m: MPoly, base: int):
+    """m's t-free coefficients as (packed integer term map, common
+    denominator)."""
+    rats = {_pack(e, base): c.as_rational() for e, c in m.terms.items()}
     den = lcm(1, *(q.denominator for q in rats.values()))
     return {e: q.numerator * (den // q.denominator) for e, q in rats.items()}, den
 
 
-def _mul_trunc(a: dict, b: dict, wmax) -> dict:
-    """Product of integer term maps, dropping monomials of weight past wmax
-    (None keeps all); the denominators multiply outside."""
-    bw = [(e2, c2, _weight(e2)) for e2, c2 in b.items()]
+def _mul_trunc(a: dict, b: dict, limit: int) -> dict:
+    """Product of packed integer term maps, dropping the monomials whose
+    key reaches limit, (w+1)*base^k for those past weight w; the
+    denominators multiply outside.  b's terms run in key order, so each
+    term of a stops at the first partner past the limit."""
+    bs = sorted(b.items())
     out = {}
+    get = out.get
     for e1, c1 in a.items():
-        wleft = None if wmax is None else wmax - _weight(e1)
-        for e2, c2, w2 in bw:
-            if wleft is not None and w2 > wleft:
-                continue
-            e = tuple(x + y for x, y in zip(e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
+        left = limit - e1
+        for e2, c2 in bs:
+            if e2 >= left:
+                break
+            e = e1 + e2
+            out[e] = get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
 
 
-def _exp_trunc(f: MPoly, wmax: int):
-    """exp(f) truncated past weighted degree wmax, as (integer term map,
-    common denominator); f has t-free coefficients and no constant term."""
-    out = {(0,) * f.k: 1}
+def _exp_trunc(f: MPoly, wmax: int, base: int):
+    """exp(f) truncated past weighted degree wmax, as (packed integer term
+    map, common denominator), each coefficient already multiplied by the
+    pairing weight zweight of its monomial; f has t-free coefficients and
+    no constant term, and base exceeds wmax."""
+    limit = (wmax + 1) * base**f.k
+    out = {0: 1}
     den = 1
     for e, c in sorted(f.terms.items()):
         q = c.as_rational()
@@ -74,13 +97,22 @@ def _exp_trunc(f: MPoly, wmax: int):
         # exp of a single term (s/d) p^e: sum of s^m/(d^m m!) p^(m e), all
         # over d^top top! for the largest top with top * weight(e) <= wmax
         top = wmax // _weight(e)
+        key = _pack(e, base)
         single = {}
         num = d**top * factorial(top)
         den *= num
         for m in range(top + 1):
-            single[tuple(m * x for x in e)] = num
+            single[m * key] = num
             num = num * s // (d * (m + 1))  # exact for m < top
-        out = _mul_trunc(out, single, wmax)
+        out = _mul_trunc(out, single, limit)
+    # zweight(e) is the product of i^x x! over the digits x = e_i of the key
+    zw = [[i**x * factorial(x) for x in range(base)] for i in range(1, f.k + 1)]
+    for e, c in out.items():
+        rest = e
+        for row in zw:
+            rest, x = divmod(rest, base)
+            c *= row[x]
+        out[e] = c
     return out, den
 
 
@@ -125,19 +157,22 @@ def scalar_series(model: ModelSpec, order: int) -> TruncSeries:
     if order < 0:
         raise ValueError("negative order")
     k = model.k
-    big_f, fden = _exp_trunc(build_f(model), order * k)
-    g, gden = _int_terms(build_g(model))
+    # every map stays within weight order*k, and g within k
+    base = max(order, 1) * k + 1
+    big_f, fden = _exp_trunc(build_f(model), order * k, base)
+    g, gden = _int_terms(build_g(model), base)
+    glimit = (order * k + 1) * base**k
     coeffs = [Fraction(1)]
-    gn = {(0,) * k: 1}
+    gn = {0: 1}
     den = fden  # of the pairing with g^n / n!: fden * gden^n * n!
     for n in range(1, order + 1):
-        gn = _mul_trunc(gn, g, None)
+        gn = _mul_trunc(gn, g, glimit)
         den *= gden * n
         acc = 0
         for e, c in gn.items():
             cf = big_f.get(e)
             if cf is not None:
-                acc += c * cf * zweight(e)
+                acc += c * cf
         coeffs.append(Fraction(acc, den))
     return TruncSeries(model, order, tuple(coeffs))
 
@@ -156,27 +191,31 @@ def pairing_tseries(model: ModelSpec, h: MPoly, order: int) -> UniPoly:
         if c.dp != (1,) or c.e < 0:
             raise ValueError("pairing_tseries needs denominator-free coefficients")
     hden = lcm(1, *(c.cd for c in h.terms.values()))
-    hpoly = {e: [0] * c.e + [x * c.cn * (hden // c.cd) for x in c.np] for e, c in h.terms.items()}
-    big_f, fden = _exp_trunc(build_f(model), order * k + hw)
-    g, gden = _int_terms(build_g(model))
+    # every map stays within weight order*k + hw, and g within k
+    base = max(order, 1) * k + hw + 1
+    hpoly = {
+        _pack(e, base): [0] * c.e + [x * c.cn * (hden // c.cd) for x in c.np] for e, c in h.terms.items()
+    }
+    big_f, fden = _exp_trunc(build_f(model), order * k + hw, base)
+    g, gden = _int_terms(build_g(model), base)
+    glimit = (order * k + 1) * base**k
     # the terms from g^n/n! are over hden * fden * gden^n * n!; scales[n]
     # brings them over den = hden * fden * gden^order * order!
     scales = [1] * (order + 1)
     for n in range(order, 0, -1):
         scales[n - 1] = scales[n] * gden * n
     out = [0] * (order + 1)
-    gn = {(0,) * k: 1}
+    gn = {0: 1}
     for n in range(order + 1):
         if n:
-            gn = _mul_trunc(gn, g, None)
+            gn = _mul_trunc(gn, g, glimit)
         # <F, h g^n>: collect per t-power
         for e1, cs in hpoly.items():
             acc = 0
             for e2, c2 in gn.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                cf = big_f.get(e)
+                cf = big_f.get(e1 + e2)
                 if cf is not None:
-                    acc += cf * c2 * zweight(e)
+                    acc += cf * c2
             if acc:
                 for j, hc in enumerate(cs[: order + 1 - n]):
                     out[n + j] += hc * acc * scales[n]

@@ -12,15 +12,19 @@ Unrolling forces c_0 = 1 and c_n = 0 for n < 0.  One instance loop
 serves every unroll: it peels the linear factors (n+l) back off the
 coefficients and evaluates each instance in Horner form over them, so a
 step multiplies the big terms only by small integers and by values of the
-peeled (Taylor-size) coefficients; every division in counts mode is still
-proved exact by divmod.  A vanishing leading coefficient blocks an index.
-The recurrence is linear, so every term is affine in the blocked terms,
-and one pass of the loop per blocked term gives it by superposition; the
-blocked instances then form a small exact linear system that may pin
-blocked terms down, and a term in the requested range that still depends
-on a free one is an error.  The blocked indices are the non-negative
-integer roots of the leading coefficient, isolated on integers only by
-Descartes' rule of signs.
+peeled (Taylor-size) coefficients.  A level's multiplier is applied only
+when a term is added, folded with those of the levels before it into one
+small integer, and a zero quotient is never evaluated, so the odd-degree
+counts recurrences, which step by 2, pay nothing at their empty levels;
+every division in counts mode is still proved exact by divmod.  A
+vanishing leading coefficient blocks an index.  The recurrence is
+linear, so every term is affine in the blocked terms, and one pass of the
+loop per blocked term gives it by superposition; the blocked instances
+then form a small exact linear system that may pin blocked terms down,
+and a term in the requested range that still depends on a free one is an
+error.  The blocked indices are the non-negative integer roots of the
+leading coefficient, isolated on integers only by Descartes' rule of
+signs.
 """
 
 from __future__ import annotations
@@ -222,7 +226,7 @@ def _peel(polys):
     for s in range(order - 1, -1, -1):
         fall = zmul(fall, [s + 1, 1])
         rems[s] = zprem(polys[s], fall)
-    peeled = [False] + [all(not zeval(r, -l) for r in rems[:l]) for l in range(1, order + 1)]
+    peeled = [False] + [all(not zeval(r, -l) for r in rems[:l] if r) for l in range(1, order + 1)]
     quots, fall = list(polys), [1]
     for s in range(order - 1, -1, -1):
         if peeled[s + 1]:
@@ -237,8 +241,13 @@ def _instances(quots, peeled, forced, given, upto, counts):
 
     Instance m, at n = m - order, evaluates sum_{s<order} b_s(n) c_{n+s} in
     Horner form over the peeled factors: acc = acc*(n+s) + a_s(n)*c_{n+s},
-    with multiplier 1 at a level that did not peel.  The sum is the same
-    however far the coefficients peel.  An instance inside the ``forced``
+    with multiplier 1 at a level that did not peel.  The multipliers met
+    since the last term wait in a small-int product and reach the big
+    accumulator only when a term is added, as acc*pend + a_s(n)*c_{n+s},
+    and once after the last level; a term whose quotient a_s, value
+    a_s(n) or c_{n+s} is zero is skipped, and a zero quotient is never
+    evaluated.  The sum is the same however far the coefficients peel and
+    whichever terms vanish.  An instance inside the ``forced``
     segment must hold; at an index in ``given``, where the leading
     coefficient vanishes, the term takes the given value and the sum is
     kept; any other instance is solved for its newest term, exactly by
@@ -251,15 +260,18 @@ def _instances(quots, peeled, forced, given, upto, counts):
     zero = 0 if counts else Fraction(0)
     for m in range(upto + 1):
         n = m - order
-        acc = zero
+        acc, pend = zero, 1
         for j in range(max(-n, 0), order):
-            if peeled[j]:
-                acc *= n + j
+            if peeled[j] and acc:
+                pend *= n + j
             v = values[n + j]
-            if v:
-                acc += zeval(quots[j], n) * v
-        if peeled[order]:
-            acc *= m
+            if v and quots[j]:
+                a = zeval(quots[j], n)
+                if a:
+                    acc = acc * pend + a * v if acc else a * v
+                    pend = 1
+        if acc:
+            acc *= pend * m if peeled[order] else pend
         lead = zeval(leadp, n)
         if m < len(forced):
             if acc + lead * values[m]:

@@ -11,9 +11,12 @@ import pytest
 from regenum import oracle
 from regenum.exactnum import RatFunc, UniPoly
 from regenum.models import build_f, build_g, parse_model
+from regenum.polyring import MPoly
 from regenum.oracle import (
     _distributions,
+    _exp_trunc,
     _loop_options,
+    _pack,
     _weight,
     graph_count_dp,
     pairing_tseries,
@@ -166,6 +169,21 @@ class TestSeries:
             assert pairing_tseries(res.model, h, 8) == frac_pairing_tseries(res.model, h, 8)
         assert seen_t
 
+    @pytest.mark.parametrize("ms,order", [("me,la,{4}", 10), ("se,la,{4}", 10), ("me,ll,{5}", 8)])
+    def test_degree_4_and_5(self, ms, order):
+        m = parse_model(ms)
+        assert scalar_series(m, order).coeffs == frac_scalar_series(m, order)
+
+    def test_pairing_degree_4(self):
+        # h = p1*g + t^2 p2^2 - 3t p4 on se,la,{4}: t-dependent coefficients
+        # and monomials of weight up to 8 next to g's
+        m = parse_model("se,la,{4}")
+        h = build_g(m).scale(Fraction(2, 3)) * MPoly.term(4, (1, 0, 0, 0), 1)
+        h = h + MPoly.term(4, (0, 2, 0, 0), RatFunc.of(UniPoly((0, 0, 1)), UniPoly((1,))))
+        h = h + MPoly.term(4, (0, 0, 0, 1), RatFunc.of(UniPoly((0, -3)), UniPoly((1,))))
+        assert max(_weight(e) for e in h.terms) == 5
+        assert pairing_tseries(m, h, 6) == frac_pairing_tseries(m, h, 6)
+
     @pytest.mark.parametrize(
         "fn",
         [scalar_series, lambda m, n: pairing_tseries(m, build_g(m), n)],
@@ -174,6 +192,47 @@ class TestSeries:
     def test_negative_order_raises(self, fn):
         with pytest.raises(ValueError):
             fn(parse_model("se,ll,{3}"), -2)
+
+
+def unpack(key, k, base):
+    """The exponents and the weight digit of a packed monomial."""
+    e = []
+    for _ in range(k):
+        key, x = divmod(key, base)
+        e.append(x)
+    return tuple(e), key
+
+
+class TestPackedMonomials:
+    # scalar_series at order 10 on a {5} model: weights up to 50, base 51
+    K, WTOP = 5, 50
+
+    def test_round_trip_at_the_largest_weight(self):
+        base = self.WTOP + 1
+        for e in [(self.WTOP, 0, 0, 0, 0), (0, 0, 0, 0, 10), (1, 2, 0, 3, 5), (0,) * 5]:
+            assert unpack(_pack(e, base), self.K, base) == (e, _weight(e))
+
+    def test_product_is_addition_and_truncation_a_threshold(self):
+        base = self.WTOP + 1
+        limit = (self.WTOP + 1) * base**self.K
+        a, b = (20, 0, 5, 0, 0), (0, 3, 0, 2, 0)
+        ab = tuple(x + y for x, y in zip(a, b))
+        assert _pack(a, base) + _pack(b, base) == _pack(ab, base) < limit
+        # weight 50 stays below the threshold, weight 51 reaches it
+        assert _pack(a, base) + _pack((0, 0, 0, 0, 3), base) < limit
+        assert _pack(a, base) + _pack((1, 0, 0, 0, 3), base) >= limit
+
+    def test_exp_carries_pairing_weights(self):
+        # exp(p1 - p1^2/2 + p2/3) to the top weight: p1^50 is the largest
+        # exponent the base holds
+        f = MPoly.term(2, (1, 0), 1) + MPoly.term(2, (2, 0), Fraction(-1, 2)) + MPoly.term(2, (0, 1), Fraction(1, 3))
+        base = self.WTOP + 1
+        out, den = _exp_trunc(f, self.WTOP, base)
+        ref = frac_exp_trunc(frac_dict(f), 2, self.WTOP)
+        assert _pack((self.WTOP, 0), base) in out
+        assert {unpack(key, 2, base)[0]: Fraction(c, den) for key, c in out.items()} == {
+            e: c * zweight(e) for e, c in ref.items()
+        }
 
 
 class TestDP:

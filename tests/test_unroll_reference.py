@@ -6,9 +6,11 @@ values, or the same exception type, message and index."""
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from regenum import ode_to_rec, seqtools
 from regenum.exactnum import UniPoly, zderiv, zeval, zgcd
 from regenum.seqtools import (
     InconsistentError,
@@ -21,7 +23,7 @@ from regenum.seqtools import (
     unroll,
 )
 
-from conftest import up
+from conftest import pipeline, up
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +371,109 @@ class TestUnrollMatchesReference:
         assert vals == ref_unroll(rec, [1], 5)
         assert outcome(unroll, rec, [1], 9) == outcome(ref_unroll, rec, [1], 9)
         assert outcome(unroll, rec, [1], 9)[2] == 7
+
+
+def rand_sparse_rec(rng, shape, blocked):
+    """A recurrence whose lower coefficients vanish at planted shifts: every
+    odd shift (the step-2 shape of the odd-degree counts recurrences), or a
+    run of shifts next to the top or next to the bottom.  The surviving
+    ones share the factors (n+l) of a random set of levels l, so those
+    levels peel, and the leading coefficient blocks one to three indices
+    in 1..10 or none."""
+    order = rng.randint(2, 7)
+    if shape == "alternate":
+        zero = set(range(1, order, 2))
+    else:
+        run = range(1, rng.randint(2, order))
+        zero = {order - s for s in run} if shape == "top" else set(run)
+    levels = rng.sample(range(1, order + 1), rng.randint(0, order))
+    # psi(m) = +-m divides every instance when level order peels
+    unit = not blocked and rng.random() < 0.5
+    if unit and order not in levels:
+        levels.append(order)
+    coeffs = []
+    for s in range(order):
+        p = up()
+        if s not in zero:
+            while p.is_zero():
+                p = rand_poly(rng, 2)
+            for level in levels:
+                if level > s:
+                    p = p * up(level, 1)
+        coeffs.append(p)
+    lead = up(rng.choice((-2, -1, 1, 3)))
+    if blocked:
+        for r in rng.sample(range(1, 11), rng.randint(1, 3)) + [0]:
+            lead = lead * up(order - r, 1)
+    elif unit:
+        lead = up(order, 1) * up(rng.choice((-1, 1)))
+    else:
+        lead = lead * up(order, 1) * up(2 * order + 1, 2)
+    return Recurrence(tuple(coeffs) + (lead,), rng.choice(("taylor", "counts")))
+
+
+class TestVanishingLevels:
+    """The instance loop defers the multipliers of the levels it passes
+    until a term is added, and skips zero quotients and zero values."""
+
+    @pytest.mark.parametrize("shape", ["alternate", "top", "bottom"])
+    def test_random_sparse_recurrences(self, shape):
+        rng = random.Random(f"sparse:{shape}")
+        kinds = {}
+        for _ in range(400):
+            blocked = rng.random() < 0.4
+            rec = rand_sparse_rec(rng, shape, blocked)
+            if rec.mode == "taylor" and rng.random() < 0.3:
+                rec = rec_counts(rec)  # every level peels
+            init, n_max = rand_init(rng), rng.randint(0, 14)
+            got = outcome(unroll, rec, init, n_max)
+            assert got == outcome(ref_unroll, rec, init, n_max), (rec, init, n_max)
+            peeled = _peel([p.int_coeffs() for p in rec.coeffs])[1]
+            kind = got[0].__name__ if isinstance(got[0], type) else "values"
+            key = kind, blocked, rec.mode, any(peeled) and not all(peeled[1:])
+            kinds[key] = kinds.get(key, 0) + 1
+        # values in both modes, partly peeled, with and without blocked indices
+        for blocked in (False, True):
+            for mode in ("taylor", "counts"):
+                assert kinds.get(("values", blocked, mode, True), 0) >= 3, kinds
+
+    def test_running_sum_cancels_mid_instance(self):
+        # quotients n+1, -(n+1), n+3 under the levels 1, 2 and 3, all
+        # peeled, and leading coefficient -(n+3):
+        # (n+3)[(n+2)((n+1)^2 c_n - (n+1) c_{n+1}) + (n+3) c_{n+2}] = (n+3) c_{n+3}.
+        # It holds for c_n = n!, whose sum cancels to 0 after shift 1 of
+        # every instance n >= 0; the pending factors (n+1) and (n+2) must
+        # not reach the term (n+3) c_{n+2} that follows
+        b0 = up(1, 1) ** 2 * up(2, 1) * up(3, 1)
+        b1 = -(up(1, 1) * up(2, 1) * up(3, 1))
+        b2 = up(3, 1) ** 2
+        for mode in ("taylor", "counts"):
+            rec = Recurrence((b0, b1, b2, up(-3, -1)), mode)
+            assert _peel([p.int_coeffs() for p in rec.coeffs])[1] == [False, True, True, True]
+            vals = unroll(rec, [1], 12)
+            assert vals == [factorial(m) for m in range(13)]
+            assert vals == ref_unroll(rec, [1], 12)
+
+    def test_no_zero_quotient_is_evaluated(self, monkeypatch):
+        # me,ll,{5}: 63 of the 126 quotients of its counts recurrence are 0
+        rec = rec_counts(ode_to_rec(pipeline("me,ll,{5}").ode))
+        calls = {"all": 0, "empty": 0}
+        inner = seqtools.zeval
+
+        def counting(p, x):
+            calls["all"] += 1
+            calls["empty"] += not p
+            return inner(p, x)
+
+        monkeypatch.setattr(seqtools, "zeval", counting)
+        vals = unroll(rec, [1], 2000)
+        monkeypatch.undo()
+        assert sum(1 for p in rec.coeffs[:-1] if p.is_zero()) == 63
+        assert calls["empty"] == 0
+        # about one per term and one leading value per instance: some 63k,
+        # where evaluating every level makes about 130k
+        assert 60_000 < calls["all"] < 66_000, calls
+        assert vals == ref_unroll(rec, [1], 2000)
 
 
 class TestPeelMatchesReference:
