@@ -8,8 +8,16 @@ of operators by p-polynomials is commutative on d-left coefficients), so
 no new positions ever appear and a commutative Buchberger computation
 applies, with S-pairs only between elements whose leading monomials sit in
 the same position.  An element is one term map keyed by module monomials
-(position, p-exponent), position None for eta1, and its normal form is a
-``polyring.sweep`` over that map.
+(position, p-exponent), each packed into one non-negative int whose
+integer order is ``polyring.module_key`` order (``_Packing``, after
+Monagan and Pearce, *Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors*, CASC 2007): a shift by p^s adds one int to every
+key, "lead divides monomial" is a position comparison and one guard-bit
+mask test, the quotient is one subtraction and the lead is ``max`` of the
+keys.  The normal form is a ``polyring.sweep`` over that map, keyed on the
+negated int.  The format stays inside this module: the constructor,
+``eta_embed``, ``eta1``/``eta0``, ``lead``, ``repr`` and
+``module_to_weyl`` speak in exponent tuples.
 
 The basis is computed by a signature-based Buchberger loop (the "RB"
 algorithm of Eder and Roune, *Signature rewriting in Groebner basis
@@ -17,7 +25,9 @@ computation*, ISSAC 2013; signatures only, as in Roune and Stillman,
 *Practical Groebner basis computation*, ISSAC 2012).  The signature of an
 element is the leading term (i, p^a) of its expression sum_i q_i * gens[i],
 ordered by the input index i and then by grevlex on a; input i enters with
-(i, 0).  Pending signatures sit in a heap and each is handled once, the
+(i, 0).  A signature is packed like a module monomial whose position rank
+is i, so it too compares, divides and shifts as one int.  Pending
+signatures sit in a heap and each is handled once, the
 smallest first: an S-pair is represented by the larger of its two
 multiplied signatures.  The candidate at signature T is its rewriter, the
 newest basis element whose signature divides T, times T/sig.  It is
@@ -47,29 +57,117 @@ a polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heappop, heappush
+from operator import neg
 
 from .exactnum import RF_ONE, RatFunc
-from .polyring import (
-    exp_mul,
-    MPoly,
-    SparseTerms,
-    add_term,
-    exp_div,
-    exp_divides,
-    grevlex_key,
-    module_key,
-    sweep,
-)
+from .polyring import MPoly, SparseTerms, add_term, exp_mul, grevlex_key, sweep
 from .weyl import WeylOp, from_dleft, to_dleft
+
+_FIELD_BITS = 8  # bits per exponent field, its guard bit included
+_MAX_EXP = (1 << (_FIELD_BITS - 1)) - 1  # the largest exponent a field holds
+
+
+class _Packing:
+    """The packed module monomials of ambient dimension k.
+
+    A p-exponent e packs to ``sum(e) << k*W`` plus, for each i, the W-bit
+    complement ``2^W - 1 - e_i`` at bit (k - 1 - i)*W, so p_1 is the most
+    significant field; W is ``_FIELD_BITS``.  Integer order is then
+    ``grevlex_key`` order: total degree first, then the smaller e_1, and so
+    on.  The top bit of each field is its guard: it is set exactly when
+    0 <= e_i <= ``_MAX_EXP``.  A module monomial (position, e) packs to
+    ``rank << exp_bits | pack_exp(e)``, where d^beta eta0 ranks as
+    ``pack_exp(beta)`` and eta1 as ``eta1``, above every packed beta; so
+    integer order is ``module_key`` order.
+
+    The shift by p^s is the int ``pack_exp(s) - fields``: adding it to a
+    key adds s to e, one carry-free addition per field, and keeps the
+    position.  A field whose exponent passes ``_MAX_EXP`` loses its guard
+    bit, which ``check`` and ``shifted`` test.  Lead l divides monomial m
+    exactly when they share the position and ``(l + guards - m) & guards
+    == guards`` (field by field, e_i - l_i >= 0 keeps the guard); the
+    quotient's shift is m - l.
+    """
+
+    __slots__ = ("k", "offsets", "fields", "guards", "exp_bits", "exp_mask", "eta1")
+
+    def __init__(self, k):
+        w = _FIELD_BITS
+        self.k = k
+        self.offsets = tuple((k - 1 - i) * w for i in range(k))
+        self.fields = (1 << (k * w)) - 1  # every field all ones: pack_exp of 0
+        self.guards = sum(1 << (off + w - 1) for off in self.offsets)
+        self.exp_bits = k * w + (k * _MAX_EXP).bit_length()
+        self.exp_mask = (1 << self.exp_bits) - 1
+        self.eta1 = 1 << self.exp_bits
+
+    def pack_exp(self, e) -> int:
+        if len(e) != self.k:
+            raise ValueError(f"exponent {tuple(e)} does not have length {self.k}")
+        out = self.fields + (sum(e) << (self.k * _FIELD_BITS))
+        for x, off in zip(e, self.offsets):
+            if x < 0:
+                raise ValueError(f"negative exponent in {tuple(e)}")
+            if x > _MAX_EXP:
+                raise OverflowError(f"exponent {x} exceeds {_MAX_EXP}")
+            out -= x << off
+        return out
+
+    def unpack_exp(self, x: int) -> tuple:
+        m = (1 << _FIELD_BITS) - 1
+        return tuple(m - ((x >> off) & m) for off in self.offsets)
+
+    def rank(self, pos) -> int:
+        """The rank of position pos: None for eta1, else the d-exponent."""
+        if pos is None:
+            return self.eta1
+        if not any(pos):
+            raise ValueError("the d-exponent of an eta0 position is zero")
+        return self.pack_exp(pos)
+
+    def pack(self, pos, e) -> int:
+        """The key of the module monomial (pos, e)."""
+        return self.rank(pos) << self.exp_bits | self.pack_exp(e)
+
+    def unpack(self, key: int) -> tuple:
+        rank = key >> self.exp_bits
+        pos = None if rank == self.eta1 else self.unpack_exp(rank)
+        return pos, self.unpack_exp(key & self.exp_mask)
+
+    def pack_shift(self, s) -> int:
+        return self.pack_exp(s) - self.fields
+
+    def unpack_shift(self, shift: int) -> tuple:
+        return self.unpack_exp(shift + self.fields)
+
+    def divides(self, lead: int, mon: int) -> bool:
+        """Whether the packed monomial (or signature) lead divides mon."""
+        g = self.guards
+        return lead >> self.exp_bits == mon >> self.exp_bits and (lead + g - mon) & g == g
+
+    def check(self, keys):
+        g = self.guards
+        for m in keys:
+            if m & g != g:
+                raise OverflowError(f"an exponent exceeds {_MAX_EXP}")
+
+    def shifted(self, key: int, shift: int) -> int:
+        self.check((key + shift,))
+        return key + shift
+
+
+_packing = lru_cache(maxsize=None)(_Packing)
 
 
 class ModuleElem(SparseTerms):
-    """Element of the free module: ``terms`` maps module monomials
-    (position, p-exponent) to coefficients, with position None for eta1
-    and the non-zero d-exponent beta for d^beta eta0.
+    """Element of the free module: ``terms`` maps packed module monomials
+    (see ``_Packing``) to coefficients.
 
-    ``eta1`` and ``eta0`` are read-only views of the coordinates for the
+    The constructor takes the coordinates: the eta1 part and the eta0
+    parts {beta: MPoly} for non-zero d-exponents beta.  ``eta1``, ``eta0``
+    and ``lead`` are read-only views in the same unpacked terms for the
     boundaries (embedding, reassembly, printing); the algorithms work on
     ``terms``.
     """
@@ -77,36 +175,46 @@ class ModuleElem(SparseTerms):
     __slots__ = ()
 
     def __init__(self, k: int, eta1: MPoly | None = None, eta0=None):
+        pk = _packing(k)
         self.k = k
-        self.terms = {} if eta1 is None else {(None, e): c for e, c in eta1.terms.items()}
+        self.terms = {} if eta1 is None else {pk.pack(None, e): c for e, c in eta1.terms.items()}
         for b, m in (eta0 or {}).items():
-            self.terms.update(((b, e), c) for e, c in m.terms.items())
+            rank = pk.rank(b) << pk.exp_bits
+            self.terms.update((rank | pk.pack_exp(e), c) for e, c in m.terms.items())
 
     @property
     def eta1(self) -> MPoly:
         """The eta1 coordinate."""
-        return MPoly._of(self.k, {e: c for (pos, e), c in self.terms.items() if pos is None})
+        pk = _packing(self.k)
+        return MPoly._of(self.k, {pk.unpack_exp(m & pk.exp_mask): c
+                                  for m, c in self.terms.items() if m >> pk.exp_bits == pk.eta1})
 
     @property
     def eta0(self) -> dict:
         """The non-zero d^beta eta0 coordinates as {beta: MPoly}."""
+        pk = _packing(self.k)
         parts = {}
-        for (pos, e), c in self.terms.items():
+        for m, c in self.terms.items():
+            pos, e = pk.unpack(m)
             if pos is not None:
                 parts.setdefault(pos, {})[e] = c
         return {b: MPoly._of(self.k, m) for b, m in parts.items()}
 
     def lead(self):
-        """Largest module monomial with coefficient, or None when zero."""
+        """Largest module monomial (position, p-exponent) with its
+        coefficient, or None when zero."""
         if not self.terms:
             return None
-        mon = max(self.terms, key=module_key)
-        return mon, self.terms[mon]
+        mon = max(self.terms)
+        return _packing(self.k).unpack(mon), self.terms[mon]
 
-    def mul_term(self, exp, c: RatFunc) -> "ModuleElem":
+    def mul_term(self, shift: int, c: RatFunc) -> "ModuleElem":
+        """The element times c*p^s, for the packed shift of s."""
         if not c:
             return ModuleElem(self.k)
-        return ModuleElem._of(self.k, {(pos, exp_mul(e, exp)): x * c for (pos, e), x in self.terms.items()})
+        terms = {m + shift: x * c for m, x in self.terms.items()}
+        _packing(self.k).check(terms)
+        return ModuleElem._of(self.k, terms)
 
     def __repr__(self):
         parts = []
@@ -124,24 +232,14 @@ class ModuleElem(SparseTerms):
 def eta_embed(a: WeylOp) -> ModuleElem:
     """Split the d-left form of an operator into eta1 / eta0 coordinates."""
     z = (0,) * a.k
-    return ModuleElem._of(a.k, {(None if b == z else b, e): c
+    pk = _packing(a.k)
+    return ModuleElem._of(a.k, {pk.pack(None if b == z else b, e): c
                                 for b, m in to_dleft(a).items() for e, c in m.terms.items()})
 
 
 def module_to_weyl(elem: ModuleElem) -> WeylOp:
     """Set eta1 = eta0 = 1: back to the operator sum Q + sum d^beta c_beta."""
     return from_dleft(elem.k, {(0,) * elem.k: elem.eta1, **elem.eta0})
-
-
-def _sweep_key(mon):
-    """Heap key of a module monomial: smaller for larger ``module_key``."""
-    pos, e = mon
-    return ((-1,) if pos is None else (0, -sum(pos), pos)), -sum(e), e
-
-
-def _sig_key(i, a):
-    """Order key of the signature (i, p^a): by index, then grevlex."""
-    return i, grevlex_key(a)
 
 
 class _Singular(Exception):
@@ -151,12 +249,13 @@ class _Singular(Exception):
 def _normal_form(elem, basis, leads, cof=None, basis_cofs=None, sigs=None, bound=None):
     """Full normal form of elem against monic basis elements, by ``sweep``.
 
-    Each step cancels the largest reducible monomial with the first basis
-    element whose leading monomial divides it.  The basis is monic, so
-    every term a step subtracts lies below its target.
+    ``leads`` holds the packed leading monomials of the basis.  Each step
+    cancels the largest reducible monomial with the first basis element
+    whose leading monomial divides it.  The basis is monic, so every term a
+    step subtracts lies below its target.
 
-    With the basis signatures ``sigs`` and a signature ``bound`` T the
-    reduction is regular: element b may cancel m only if
+    With the packed basis signatures ``sigs`` and a packed signature
+    ``bound`` T the reduction is regular: element b may cancel m only if
     sig(b)*(m/lm b) < T.  The first monomial left is then the lead; if
     some lead divides it with multiplied signature equal to T, elem is
     singular and the result is None, without any tail reduction.
@@ -164,21 +263,24 @@ def _normal_form(elem, basis, leads, cof=None, basis_cofs=None, sigs=None, bound
     When cofactor lists are given, cof must hold a generator expression of
     elem on entry; it is updated in place and expresses the result on exit.
     """
+    pk = _packing(elem.k)
+    eb, g = pk.exp_bits, pk.guards
     cof_terms = None if cof is None else [dict(c.terms) for c in cof]
-    if bound is not None:
-        bound = _sig_key(*bound)
     lead_left = bound is not None
+    # the leads by position rank, each as (index, lead + guards) for the
+    # mask test of ``_Packing.divides``, in index order
+    by_pos = {}
+    for bi, lead in enumerate(leads):
+        by_pos.setdefault(lead >> eb, []).append((bi, lead + g))
 
     def step(mon, c):
         nonlocal lead_left
-        pos, e = mon
         singular = False
-        for bi, (bpos, bexp) in enumerate(leads):
-            if bpos == pos and exp_divides(bexp, e):
+        for bi, lg in by_pos.get(mon >> eb, ()):
+            if (lg - mon) & g == g:
                 if bound is None:
                     break
-                si, sa = sigs[bi]
-                key = _sig_key(si, exp_mul(sa, exp_div(e, bexp)))
+                key = pk.shifted(sigs[bi], mon - leads[bi])
                 if key < bound:
                     break
                 singular = singular or key == bound
@@ -187,17 +289,18 @@ def _normal_form(elem, basis, leads, cof=None, basis_cofs=None, sigs=None, bound
                 raise _Singular
             lead_left = False
             return None
-        shift = exp_div(e, bexp)
+        shift = mon - leads[bi]
         c = -c
         if cof_terms is not None:
+            s = pk.unpack_shift(shift)
             for out, bc in zip(cof_terms, basis_cofs[bi]):
                 for be, x in bc.terms.items():
-                    add_term(out, exp_mul(be, shift), x * c)
+                    add_term(out, exp_mul(be, s), x * c)
         return basis[bi].mul_term(shift, c).terms
 
     terms = dict(elem.terms)
     try:
-        sweep(terms, _sweep_key, step)
+        sweep(terms, neg, step)
     except _Singular:
         return None
     if cof is not None:
@@ -228,7 +331,8 @@ def module_buchberger(gens, with_cofactors=False):
         raise ValueError("no generators")
     k = gens[0].k
     ngens = len(gens)
-    one = (0,) * k
+    pk = _packing(k)
+    eb = pk.exp_bits
 
     basis = []
     leads = []
@@ -236,70 +340,70 @@ def module_buchberger(gens, with_cofactors=False):
     cofs = []
     syzygies = []  # signatures whose regular reduction reached zero
 
-    # pending signatures (i, a), smallest first: by i, then grevlex on a
-    pending = [(_sig_key(i, one), i, one) for i in range(ngens)]
-    seen = {(i, one) for i in range(ngens)}
+    # a signature (i, p^a) packs like a module monomial at position rank i,
+    # so ints order signatures by i, then grevlex on a; input i is (i, 0)
+    pending = [i << eb | pk.fields for i in range(ngens)]  # ascending: a heap
+    seen = set(pending)
 
     while pending:
-        _, i, a = heappop(pending)
-        if any(si == i and exp_divides(sa, a) for si, sa in syzygies):
+        sig = heappop(pending)
+        if any(pk.divides(s, sig) for s in syzygies):
             continue
         # the rewriter: the newest element whose signature divides (i, a)
         for r in range(len(basis) - 1, -1, -1):
-            if sigs[r][0] == i and exp_divides(sigs[r][1], a):
-                shift = exp_div(a, sigs[r][1])
+            if pk.divides(sigs[r], sig):
+                shift = sig - sigs[r]
                 elem = basis[r].mul_term(shift, RF_ONE)
-                cof = [c.mul_term(shift, RF_ONE) for c in cofs[r]] if with_cofactors else None
+                cof = None
+                if with_cofactors:
+                    e = pk.unpack_shift(shift)
+                    cof = [c.mul_term(e, RF_ONE) for c in cofs[r]]
                 break
-        else:  # a == one: the input itself
+        else:  # a == 0: the input itself
+            i = sig >> eb
             elem = gens[i]
             cof = None
             if with_cofactors:
                 cof = [MPoly(k) for _ in range(ngens)]
                 cof[i] = MPoly.const(k, 1)
-        red = _normal_form(elem, basis, leads, cof, cofs, sigs, (i, a))
+        red = _normal_form(elem, basis, leads, cof, cofs, sigs, sig)
         if red is None:
             continue
         if red.is_zero():
             _zero_reductions += 1
-            syzygies.append((i, a))
+            syzygies.append(sig)
             continue
-        (pos, lm), lc = red.lead()
+        lm = max(red.terms)
+        lc = red.terms[lm]
+        pos = lm >> eb
+        lm_exp = pk.unpack_exp(lm & pk.exp_mask)
         # each S-pair with an earlier element in the same position is
         # represented by the larger of the two multiplied signatures
-        for j, (pos_j, lm_j) in enumerate(leads):
-            if pos_j != pos:
+        for j, lm_j in enumerate(leads):
+            if lm_j >> eb != pos:
                 continue
-            lcm = tuple(max(x, y) for x, y in zip(lm, lm_j))
-            mine = (i, exp_mul(a, exp_div(lcm, lm)))
-            theirs = (sigs[j][0], exp_mul(sigs[j][1], exp_div(lcm, lm_j)))
-            sig = max(mine, theirs, key=lambda s: _sig_key(*s))
-            if mine != theirs and sig not in seen:
-                seen.add(sig)
-                heappush(pending, (_sig_key(*sig), *sig))
+            lcm = pos << eb | pk.pack_exp(tuple(map(max, lm_exp, pk.unpack_exp(lm_j & pk.exp_mask))))
+            mine = pk.shifted(sig, lcm - lm)
+            theirs = pk.shifted(sigs[j], lcm - lm_j)
+            pair = max(mine, theirs)
+            if mine != theirs and pair not in seen:
+                seen.add(pair)
+                heappush(pending, pair)
         # the only scaling of the basis: every element enters monic
         inv = lc.inverse()
         basis.append(red.scale(inv))
-        leads.append((pos, lm))
-        sigs.append((i, a))
+        leads.append(lm)
+        sigs.append(sig)
         cofs.append(None if cof is None else [c.scale(inv) for c in cof])
 
     return _autoreduce(basis, leads, cofs, with_cofactors)
 
 
 def _autoreduce(basis, leads, cofs, with_cofactors):
+    pk = _packing(basis[0].k)
     # drop elements whose lead is divisible by another's lead
-    keep = []
-    for i, (pos, e) in enumerate(leads):
-        dominated = False
-        for j, (pos2, e2) in enumerate(leads):
-            if i == j or pos2 != pos:
-                continue
-            if exp_divides(e2, e) and (e2 != e or j < i):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
+    keep = [i for i, m in enumerate(leads)
+            if not any(j != i and pk.divides(l, m) and (l != m or j < i) for j, l in enumerate(leads))]
     basis = [basis[i] for i in keep]
     leads = [leads[i] for i in keep]
     cofs = [cofs[i] for i in keep]
@@ -313,7 +417,7 @@ def _autoreduce(basis, leads, cofs, with_cofactors):
                                 cof, cofs[:i] + cofs[i + 1 :])
         cofs[i] = cof
 
-    order = sorted(range(len(basis)), key=lambda i: module_key(leads[i]))
+    order = sorted(range(len(basis)), key=leads.__getitem__)
     basis = [basis[i] for i in order]
     cofs = [cofs[i] for i in order]
     if with_cofactors:

@@ -14,13 +14,15 @@ order them; larger keys are larger monomials:
 * ``module_key`` - on module monomials (position, p-exponent) of the free
   module with basis eta1 and the d^beta eta0, position None standing for
   eta1: eta1 above everything, eta0 positions by ``grevlex_key`` on beta,
-  ties within a position by ``grevlex_key``.
+  ties within a position by ``grevlex_key``.  ``modgb`` keys its elements
+  by module monomials packed into ints whose integer order is this order.
 
 ``SparseTerms`` is the term map shared by polynomials (keys p-exponents),
-Weyl operators (keys (alpha, beta)) and module elements (keys module
-monomials).  ``sweep`` is the one reduction loop: both normal forms, the
-Groebner one and the telescoping one, are a ``sweep`` with their own order
-and divisor rule.
+Weyl operators (keys (alpha, beta)) and module elements (keys packed
+module monomials).  ``sweep`` is the one reduction loop: both normal
+forms, the Groebner one (keyed on the negated packed int) and the
+telescoping one (on the negated total degree), are a ``sweep`` with their
+own order and divisor rule.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from regenum.telescope import FailDominance, red, reduction_basis, replay, run_p
 from regenum.weyl import adjoint, apply_op, parse_op, weyl_mul
 
 from conftest import pipeline, rand_mpoly, rand_weylop, up
+from test_golden import basis_digest
 
 
 A5 = up(-4, 8, 2, 0, 2, 1)  # t^5 + 2t^4 + 2t^2 + 8t - 4
@@ -98,6 +99,8 @@ def test_criterion_2_extended_k7_confinement():
     gb = module_buchberger([eta_embed(g) for g in build_generators(m)])
     assert zero_reductions() == before
     assert len(gb) == 107
+    # the basis recorded before the module monomials were packed into ints
+    assert basis_digest(gb) == "0510627f760d81b7e881dc32195d1346f34bee270a2406196dbe01f893fb4fa0"
     reducers = extract_reducers(gb)
     assert all(is_dominant(r) for r in reducers)
     stairs = stairs_and_dim([r.m for r in reducers])

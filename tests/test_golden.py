@@ -11,11 +11,20 @@ are all powers of t; ``se,la,{2,4,6}`` and ``me,ll,{6}``, even-degree
 derivations whose gcds have non-trivial cofactors, before ``zgcd``
 returned its cofactors), so any later change to the derivation's speed is
 held to byte-identical ODEs and reduced Groebner bases.
+
+``GB_STAGE`` pins the reduced basis of the Groebner stage alone, as
+``basis_digest`` of ``module_buchberger`` on the twisted generators,
+recorded before the module monomials were packed into ints: a k=6 model
+with half-loops here, and ``se,ll,{7}`` in ``test_acceptance``.
 """
 
 import hashlib
 
 import pytest
+
+from regenum.modgb import eta_embed, module_buchberger, module_to_weyl
+from regenum.models import build_generators, parse_model
+from regenum.weyl import op_to_str
 
 from test_cli import run_cli
 
@@ -54,3 +63,20 @@ def test_json_digest(model, emit, digest):
     code, out, _ = run_cli(model, "--emit", emit, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+GB_STAGE = [
+    ("se,lh,{2,6}", 55, "4049a34a029a9fec23fc51d7bbfb1c3f649a5661a8a6a5ec9f51393ed9dba137"),
+]
+
+
+def basis_digest(gb) -> str:
+    """SHA-256 of the basis as operators, one line per element."""
+    return hashlib.sha256("".join(op_to_str(module_to_weyl(e)) + "\n" for e in gb).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("model,size,digest", GB_STAGE)
+def test_groebner_stage_digest(model, size, digest):
+    gb = module_buchberger([eta_embed(g) for g in build_generators(parse_model(model))])
+    assert len(gb) == size
+    assert basis_digest(gb) == digest

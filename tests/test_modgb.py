@@ -20,6 +20,7 @@ from regenum.polyring import MPoly
 from regenum.weyl import WeylOp, apply_op, parse_op, right_mul_poly, weyl_mul
 
 from conftest import pipeline, poly, rand_mpoly, rand_weylop
+from test_sweep import packed_leads
 
 
 class TestEtaEmbed:
@@ -48,6 +49,17 @@ class TestEtaEmbed:
             em = eta_embed(a)
             assert module_to_weyl(em) == a
             assert ModuleElem(k, em.eta1, em.eta0) == em
+
+    def test_zero_d_exponent_rejected(self):
+        # d^0 eta0 is no position: eta1 holds the derivation-free part
+        with pytest.raises(ValueError):
+            ModuleElem(2, poly("p1", 2), {(0, 0): poly("p2", 2)})
+
+    def test_wrong_length_d_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            ModuleElem(2, poly("p1", 2), {(1,): poly("p2", 2)})
+        with pytest.raises(ValueError):
+            ModuleElem(2, None, {(1, 0, 0): poly("p2", 2)})
 
     def test_repr_of_p4_generators(self):
         # strings recorded before the coordinates became one term map
@@ -79,8 +91,7 @@ class TestBuchberger:
         p5 = gens[0] + right_mul_poly(gens[2], MPoly.const(4, RF_T.scale_rat(third)))
         p5 = p5 + right_mul_poly(gens[1], MPoly.gen(4, 0).scale_rat(third))
         gb = pipeline("se,ll,{4}").gb
-        leads = [e.lead()[0] for e in gb]
-        nf = _normal_form(eta_embed(p5), gb, leads)
+        nf = _normal_form(eta_embed(p5), gb, packed_leads(gb))
         assert nf.is_zero()
 
     def test_idempotence(self):
@@ -105,7 +116,7 @@ class TestBuchberger:
         monkeypatch.setattr(modgb, "_autoreduce", counting_autoreduce)
         gb = module_buchberger([eta_embed(p) for p in build_generators(parse_model("se,ll,{5}"))])
         assert len(calls) == len(gb) == 26
-        leads = [e.lead()[0] for e in gb]
+        leads = packed_leads(gb)
         for i, elem in enumerate(gb):
             assert elem.lead()[1] == RF_ONE
             assert _normal_form(elem, gb[:i] + gb[i + 1:], leads[:i] + leads[i + 1:]) == elem

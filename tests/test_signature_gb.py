@@ -9,7 +9,7 @@ import pytest
 
 from regenum import modgb
 from regenum.exactnum import RF_ONE
-from regenum.modgb import ModuleElem, _autoreduce, _normal_form, eta_embed, module_buchberger, zero_reductions
+from regenum.modgb import ModuleElem, _autoreduce, _normal_form, _packing, eta_embed, module_buchberger, zero_reductions
 from regenum.models import build_generators, parse_model
 from regenum.polyring import MPoly, exp_div, exp_divides, grevlex_key
 from regenum.telescope import run_pipeline
@@ -20,17 +20,20 @@ from test_sweep import combination, rand_elem
 
 def gm_buchberger(gens, with_cofactors=False):
     """Reference: Buchberger's pair loop with Gebauer-Moeller pruning,
-    generators reduced in turn, the smallest lcm first."""
+    generators reduced in turn, the smallest lcm first.  It keeps the leads
+    as tuples and hands ``modgb`` their packed form (``packed``)."""
     gens = [g for g in gens if not g.is_zero()]
     k = gens[0].k
+    pk = _packing(k)
     ngens = len(gens)
-    basis, leads, cofs = [], [], []
+    basis, leads, packed, cofs = [], [], [], []
 
     def add_element(elem, cof):
         lm, lc = elem.lead()
         inv = lc.inverse()
         basis.append(elem.scale(inv))
         leads.append(lm)
+        packed.append(max(elem.terms))
         cofs.append(None if cof is None else [c.scale(inv) for c in cof])
         return len(basis) - 1
 
@@ -62,7 +65,7 @@ def gm_buchberger(gens, with_cofactors=False):
         if with_cofactors:
             cof = [MPoly(k) for _ in range(ngens)]
             cof[gi] = MPoly.const(k, 1)
-        red = _normal_form(g, basis, leads, cof, cofs)
+        red = _normal_form(g, basis, packed, cof, cofs)
         if not red.is_zero():
             update_pairs(add_element(red, cof))
 
@@ -72,17 +75,18 @@ def gm_buchberger(gens, with_cofactors=False):
         del pairs[key]
         (pos, a_i), (_, a_j) = leads[i], leads[j]
         l = lcm_exp(a_i, a_j)
-        s_elem = basis[i].mul_term(exp_div(l, a_i), RF_ONE) - basis[j].mul_term(exp_div(l, a_j), RF_ONE)
+        s_elem = (basis[i].mul_term(pk.pack_shift(exp_div(l, a_i)), RF_ONE)
+                  - basis[j].mul_term(pk.pack_shift(exp_div(l, a_j)), RF_ONE))
         cof = None
         if with_cofactors:
             qi = MPoly.term(k, exp_div(l, a_i), RF_ONE)
             qj = MPoly.term(k, exp_div(l, a_j), RF_ONE)
             cof = [cofs[i][g] * qi - cofs[j][g] * qj for g in range(ngens)]
-        red = _normal_form(s_elem, basis, leads, cof, cofs)
+        red = _normal_form(s_elem, basis, packed, cof, cofs)
         if not red.is_zero():
             update_pairs(add_element(red, cof))
 
-    return _autoreduce(basis, leads, cofs, with_cofactors)
+    return _autoreduce(basis, packed, cofs, with_cofactors)
 
 
 def twisted(ms):

@@ -1,12 +1,13 @@
 """The descending sweeps in ``modgb._normal_form`` and ``telescope.red``
 against test-local copies of the rescanning loops they replaced: same
-results, same traces, same cofactors, step for step."""
+results, same traces, same cofactors, step for step; and the packed
+module monomials that ``modgb`` sweeps over, against exponent tuples."""
 
 import pytest
 
 from regenum import modgb
 from regenum.exactnum import RF_ONE
-from regenum.modgb import ModuleElem, _normal_form, _sweep_key, eta_embed, module_buchberger
+from regenum.modgb import _MAX_EXP, ModuleElem, _normal_form, _packing, eta_embed, module_buchberger
 from regenum.models import build_g, build_generators, parse_model
 from regenum.polyring import MPoly, exp_div, exp_divides, exp_mul, grevlex_key, module_key
 from regenum.telescope import red, replay
@@ -22,14 +23,26 @@ def rescan_normal_form(elem, basis, leads, cof=None, basis_cofs=None, sigs=None,
     lowest-index divisor, copy the element, repeat.  With a signature
     bound, a divisor counts only if its multiplied signature lies below the
     bound, and an irreducible largest monomial that some lead divides at
-    exactly the bound makes the element singular (None)."""
+    exactly the bound makes the element singular (None).
+
+    Takes the packed leads and signatures of ``modgb._normal_form`` and
+    works on their unpacked tuples."""
+    pk = _packing(elem.k)
+
+    def unpack_sig(s):
+        return s >> pk.exp_bits, pk.unpack_exp(s & pk.exp_mask)
 
     def sig_key(i, a):
         return i, grevlex_key(a)
 
+    leads = [pk.unpack(lead) for lead in leads]
+    if bound is not None:
+        sigs = [unpack_sig(s) for s in sigs]
+        bound = unpack_sig(bound)
     while True:
         target = None
-        for rank, (mon, c) in enumerate(sorted(elem.terms.items(), key=lambda t: module_key(t[0]), reverse=True)):
+        mons = sorted(((pk.unpack(m), c) for m, c in elem.terms.items()), key=lambda t: module_key(t[0]), reverse=True)
+        for rank, (mon, c) in enumerate(mons):
             pos, e = mon
             singular = False
             for bi, (bpos, bexp) in enumerate(leads):
@@ -49,7 +62,7 @@ def rescan_normal_form(elem, basis, leads, cof=None, basis_cofs=None, sigs=None,
         if target is None:
             return elem
         mon, c, bi, shift = target
-        elem = elem - basis[bi].mul_term(shift, c)
+        elem = elem - basis[bi].mul_term(pk.pack_shift(shift), c)
         if cof is not None:
             q = MPoly.term(elem.k, shift, c)
             for gi in range(len(cof)):
@@ -93,8 +106,13 @@ def module_times(elem, q):
     """elem * q for a polynomial q, coefficient-wise."""
     acc = ModuleElem(elem.k, MPoly(elem.k))
     for e, c in q.terms.items():
-        acc = acc - elem.mul_term(e, -c)
+        acc = acc - elem.mul_term(_packing(elem.k).pack_shift(e), -c)
     return acc
+
+
+def packed_leads(elems):
+    """The packed leading monomials that ``modgb._normal_form`` takes."""
+    return [max(e.terms) for e in elems]
 
 
 def combination(gens, cof):
@@ -123,17 +141,79 @@ def cofactor_gb(request):
     return request.param, gens, gb, cofs
 
 
-class TestNormalFormSweep:
-    def test_sweep_key_reverses_module_key(self, rng):
-        for k in (1, 2, 3):
-            mons = {(None, rand_exponent(rng, k, 3)) for _ in range(40)}
-            for _ in range(80):
-                beta = rand_exponent(rng, k, 3)
-                if any(beta):
-                    mons.add((beta, rand_exponent(rng, k, 3)))
-            mons = list(mons)
-            assert sorted(mons, key=_sweep_key) == sorted(mons, key=module_key, reverse=True)
+def rand_limit_exponent(rng, k):
+    """An exponent with entries anywhere up to the field limit, the ends of
+    the range drawn often."""
+    return tuple(rng.choice((0, 1, 2, _MAX_EXP - 1, _MAX_EXP, rng.randint(0, _MAX_EXP))) for _ in range(k))
 
+
+def rand_monomial(rng, k):
+    pos = None if rng.random() < 0.3 else rand_limit_exponent(rng, k)
+    return (None if pos is None or not any(pos) else pos), rand_limit_exponent(rng, k)
+
+
+class TestPackedMonomials:
+    """The packed format of ``modgb``, for k = 1..7 and exponents up to
+    the field limit, against the tuple monomials and ``module_key``."""
+
+    def test_order_is_module_key(self, rng):
+        for k in range(1, 8):
+            pk = _packing(k)
+            mons = list({rand_monomial(rng, k) for _ in range(300)})
+            assert all(pk.unpack(pk.pack(*m)) == m for m in mons)
+            assert sorted(mons, key=lambda m: pk.pack(*m)) == sorted(mons, key=module_key)
+
+    def test_divisibility(self, rng):
+        for k in range(1, 8):
+            pk = _packing(k)
+            for _ in range(400):
+                lead = rand_monomial(rng, k)
+                mon = rand_monomial(rng, k)
+                if rng.random() < 0.5:  # same position, often divisible
+                    e = tuple(min(_MAX_EXP, x + rng.choice((0, 0, 1, _MAX_EXP))) for x in lead[1])
+                    mon = lead[0], e
+                want = lead[0] == mon[0] and exp_divides(lead[1], mon[1])
+                assert pk.divides(pk.pack(*lead), pk.pack(*mon)) == want
+
+    def test_shift_and_quotient_round_trip(self, rng):
+        for k in range(1, 8):
+            pk = _packing(k)
+            for _ in range(200):
+                pos, e = rand_monomial(rng, k)
+                s = tuple(rng.randint(0, _MAX_EXP - x) for x in e)
+                key = pk.pack(pos, e)
+                prod = pk.pack(pos, exp_mul(e, s))
+                assert pk.unpack_shift(pk.pack_shift(s)) == s
+                assert pk.shifted(key, pk.pack_shift(s)) == prod
+                assert pk.divides(key, prod) and prod - key == pk.pack_shift(s)
+                elem = ModuleElem(k, MPoly.term(k, e, 3)) if pos is None else ModuleElem(k, None, {pos: MPoly.term(k, e, 3)})
+                assert elem.mul_term(pk.pack_shift(s), RF_ONE.scale_rat(2)).lead() == ((pos, exp_mul(e, s)), RF_ONE.scale_rat(6))
+
+    def test_out_of_range_raises(self):
+        for k in range(1, 8):
+            pk = _packing(k)
+            top = (_MAX_EXP,) * k
+            unit = (1,) + (0,) * (k - 1)
+            with pytest.raises(ValueError):
+                pk.pack(None, (-1,) + (0,) * (k - 1))
+            with pytest.raises(ValueError):
+                pk.pack_shift((0,) * (k - 1) + (-1,))
+            with pytest.raises(ValueError):
+                pk.pack(None, (0,) * (k + 1))
+            with pytest.raises(OverflowError):
+                pk.pack(unit, (0,) * (k - 1) + (_MAX_EXP + 1,))
+            with pytest.raises(OverflowError):
+                pk.pack_shift((_MAX_EXP + 1,) + (0,) * (k - 1))
+            with pytest.raises(OverflowError):
+                pk.shifted(pk.pack(None, top), pk.pack_shift((0,) * (k - 1) + (1,)))
+            elem = ModuleElem(k, MPoly.term(k, top, 1) + MPoly.const(k, 1))
+            with pytest.raises(OverflowError):
+                elem.mul_term(pk.pack_shift(unit), RF_ONE)
+            # the largest exponent itself packs and shifts
+            assert pk.shifted(pk.pack(unit, (0,) * k), pk.pack_shift(top)) == pk.pack(unit, top)
+
+
+class TestNormalFormSweep:
     def test_buchberger_matches_rescan(self, cofactor_gb, monkeypatch):
         ms, gens, gb, cofs = cofactor_gb
         monkeypatch.setattr(modgb, "_normal_form", rescan_normal_form)
@@ -143,7 +223,7 @@ class TestNormalFormSweep:
     def test_random_elements(self, cofactor_gb, rng):
         ms, gens, gb, cofs = cofactor_gb
         k = gens[0].k
-        leads = [e.lead()[0] for e in gb]
+        leads = packed_leads(gb)
         for _ in range(25):
             elem = rand_elem(rng, k)
             cof = [rand_mpoly(rng, k, nterms=2, maxdeg=1) for _ in gens]
@@ -158,11 +238,11 @@ class TestNormalFormSweep:
         # to the rescan's, and the cofactors still express it exactly
         ms, gens, gb, cofs = cofactor_gb
         k = gens[0].k
-        leads = [e.lead()[0] for e in gb]
+        leads = packed_leads(gb)
         pairs = 0
         for i in range(len(gb)):
             for j in range(i + 1, len(gb)):
-                (pos, a_i), (pos_j, a_j) = leads[i], leads[j]
+                (pos, a_i), (pos_j, a_j) = gb[i].lead()[0], gb[j].lead()[0]
                 if pos != pos_j:
                     continue
                 lcm = tuple(max(x, y) for x, y in zip(a_i, a_j))
@@ -190,7 +270,7 @@ class TestNormalFormSweep:
                 if i % 2 and elem.eta0:
                     elem = ModuleElem(k, MPoly(k), elem.eta0)  # lead in an eta0 position
                 basis.append(elem.scale(elem.lead()[1].inverse()))
-            leads = [e.lead()[0] for e in basis]
+            leads = packed_leads(basis)
             basis_cofs = [[rand_mpoly(rng, k, nterms=2, maxdeg=1) for _ in range(2)] for _ in basis]
             elem = rand_elem(rng, k)
             cof = [MPoly.const(k, 1), MPoly(k)]
@@ -201,7 +281,7 @@ class TestNormalFormSweep:
 
     def test_irreducible_input_unchanged(self, cofactor_gb):
         ms, gens, gb, cofs = cofactor_gb
-        leads = [e.lead()[0] for e in gb]
+        leads = packed_leads(gb)
         for i, elem in enumerate(gb):
             others = gb[:i] + gb[i + 1:]
             assert _normal_form(elem, others, leads[:i] + leads[i + 1:]) == elem
