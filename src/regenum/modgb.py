@@ -209,10 +209,14 @@ class ModuleElem(SparseTerms):
         return _packing(self.k).unpack(mon), self.terms[mon]
 
     def mul_term(self, shift: int, c: RatFunc) -> "ModuleElem":
-        """The element times c*p^s, for the packed shift of s."""
+        """The element times c*p^s, for the packed shift of s; for c = 1
+        the coefficients are shared, not copied (they are immutable)."""
         if not c:
             return ModuleElem(self.k)
-        terms = {m + shift: x * c for m, x in self.terms.items()}
+        if c == RF_ONE:
+            terms = {m + shift: x for m, x in self.terms.items()}
+        else:
+            terms = {m + shift: x * c for m, x in self.terms.items()}
         _packing(self.k).check(terms)
         return ModuleElem._of(self.k, terms)
 

@@ -224,6 +224,8 @@ class MPoly(SparseTerms):
         if not c:
             return MPoly(self.k)
         exp = tuple(exp)
+        if c == RF_ONE:  # coefficients are immutable: share them
+            return MPoly._of(self.k, {exp_mul(e, exp): x for e, x in self.terms.items()})
         return MPoly._of(self.k, {exp_mul(e, exp): x * c for e, x in self.terms.items()})
 
     def derivative(self, i: int) -> "MPoly":

@@ -5,14 +5,20 @@ t^a d_t^b sends the coefficient sequence to
 (n-a+b)(n-a+b-1)...(n-a+1) c_{n-a+b}; collecting by the shift b-a and
 renormalizing so the lowest shift is zero gives a recurrence annihilating
 exactly the Taylor coefficient sequences of the ODE's series solutions.
-Counts recurrences substitute c_n = r_n / n! and clear the factorials with
-falling-factorial polynomials.
+Counts recurrences substitute c_n = r_n / n!, which clears the factorials
+by multiplying the shift-s coefficient by the falling factor
+(n+order)...(n+s+1).  A counts recurrence made by rec_counts keeps that
+product implicit: it holds the Taylor coefficients, and its expanded
+coefficients are built only when read (printing, JSON, ``coeffs``).
 
 Unrolling forces c_0 = 1 and c_n = 0 for n < 0.  One instance loop
-serves every unroll: it peels the linear factors (n+l) back off the
-coefficients and evaluates each instance in Horner form over them, so a
-step multiplies the big terms only by small integers and by values of the
-peeled (Taylor-size) coefficients.  A level's multiplier is applied only
+serves every unroll: it evaluates each instance in Horner form over the
+linear factors (n+l), so a step multiplies the big terms only by small
+integers and by values of Taylor-size coefficients.  A factored counts
+recurrence hands the loop its Taylor coefficients with every level's
+factor marked; a recurrence given in expanded form (from JSON or built
+directly) first has the factors (n+l) peeled back off its coefficients.
+A level's multiplier is applied only
 when a term is added, folded with those of the levels before it into one
 small integer, and a zero quotient is never evaluated, so the odd-degree
 counts recurrences, which step by 2, pay nothing at their empty levels;
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _igcd
 
-from .exactnum import UP_ONE, UniPoly, zcontent, zdivexact, zeval, zmul, zprem, zshift_arg, zval
+from .exactnum import UniPoly, zadd, zcontent, zdivexact, zeval, zmul, zprem, zscale, zshift_arg, zval
 
 
 class SequenceError(Exception):
@@ -55,10 +61,10 @@ class IndicialError(SequenceError):
     pass
 
 
-def _normalize_family(polys):
-    """Strip the common integer content; fix the sign so the last non-zero
-    polynomial has a positive leading coefficient."""
-    ints = [p.int_coeffs() for p in polys]
+def _normalize_family(ints):
+    """Strip the common integer content of integer coefficient lists; fix
+    the sign so the last non-zero polynomial has a positive leading
+    coefficient."""
     g = 0
     for cs in ints:
         g = _igcd(g, zcontent(cs))
@@ -90,7 +96,7 @@ class ODE:
             qs.pop()
         if not qs:
             raise ValueError("zero operator")
-        return cls(_normalize_family(qs))
+        return cls(_normalize_family([q.int_coeffs() for q in qs]))
 
     @property
     def order(self) -> int:
@@ -135,75 +141,106 @@ class ODE:
         return True
 
 
-@dataclass(frozen=True)
 class Recurrence:
     """sum over shifts s of a_s(n) c_{n+s} = 0, integer polynomials in n,
-    mode 'taylor' for EGF coefficients or 'counts' for r_n = n! c_n."""
+    mode 'taylor' for EGF coefficients or 'counts' for r_n = n! c_n.
 
-    coeffs: tuple
-    mode: str
+    A counts recurrence made by rec_counts holds its Taylor coefficients
+    t_s and stands for a_s = t_s * (n+order)...(n+s+1); ``coeffs`` and
+    ``degree`` expand those products on first use.
+    """
 
-    def __post_init__(self):
-        if self.mode not in ("taylor", "counts"):
-            raise ValueError(f"bad mode {self.mode!r}")
-        if not self.coeffs or self.coeffs[-1].is_zero() or self.coeffs[0].is_zero():
+    __slots__ = ("mode", "_coeffs", "_taylor")
+
+    def __init__(self, coeffs, mode: str):
+        coeffs = tuple(coeffs)
+        if mode not in ("taylor", "counts"):
+            raise ValueError(f"bad mode {mode!r}")
+        if not coeffs or coeffs[-1].is_zero() or coeffs[0].is_zero():
             raise ValueError("leading and trailing recurrence coefficients must be non-zero")
+        self.mode = mode
+        self._coeffs = coeffs
+        self._taylor = None
+
+    @classmethod
+    def _factored(cls, taylor):
+        """The counts recurrence of the Taylor coefficients ``taylor``, a
+        valid family, with the falling factors left implicit."""
+        rec = cls.__new__(cls)
+        rec.mode = "counts"
+        rec._coeffs = None
+        rec._taylor = tuple(taylor)
+        return rec
+
+    @property
+    def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            out, fall = [], [1]
+            for s in range(len(self._taylor) - 1, -1, -1):
+                out.append(UniPoly(zmul(self._taylor[s].coeffs, fall)))
+                fall = zmul(fall, [s, 1])  # (n+order)...(n+s)
+            self._coeffs = tuple(reversed(out))
+        return self._coeffs
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._coeffs if self._taylor is None else self._taylor) - 1
 
     @property
     def degree(self) -> int:
         return max(int(q.degree) for q in self.coeffs if not q.is_zero())
 
+    def __eq__(self, other):
+        if isinstance(other, Recurrence):
+            return self.mode == other.mode and self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeffs, self.mode))
+
+    def __repr__(self):
+        return f"Recurrence(coeffs={self.coeffs!r}, mode={self.mode!r})"
+
     def __str__(self):
         return _operator_text(self.coeffs, "Sn", "n")
 
 
-def _falling(shift: int, b: int) -> UniPoly:
-    """(n+shift)(n+shift-1)...(n+shift-b+1) as a polynomial in n."""
-    out = UP_ONE
-    for i in range(b):
-        out = out * UniPoly((shift - i, 1))
-    return out
-
-
 def ode_to_rec(ode: ODE) -> Recurrence:
-    """Translate to the recurrence on Taylor coefficients."""
-    by_shift = {}
-    for b, q in enumerate(ode.coeffs):
-        for a, qc in enumerate(q.coeffs):
-            if not qc:
-                continue
-            s = b - a
-            term = _falling(s, b).scale(qc)
-            cur = by_shift.get(s)
-            by_shift[s] = term if cur is None else cur + term
-    by_shift = {s: p for s, p in by_shift.items() if not p.is_zero()}
-    smin = min(by_shift)
-    smax = max(by_shift)
+    """Translate to the recurrence on Taylor coefficients.
+
+    The term q_{b,a} t^a d^b lands at shift s = b - a; renormalized so the
+    lowest shift smin is zero, shift i = s - smin gains q_{b,a} times the
+    falling factor (n+i)(n+i-1)...(n+i-b+1), built once per (i, b) by one
+    linear step from (i, b-1).  The factors have distinct degrees, so a
+    shift's sum vanishes only when all of its terms do.
+    """
+    qs = [q.int_coeffs() for q in ode.coeffs]
+    shifts = [b - a for b, q in enumerate(qs) for a, c in enumerate(q) if c]
+    smin = min(shifts)
     coeffs = []
-    for s in range(smin, smax + 1):
-        p = by_shift.get(s)
-        if p is None:
-            coeffs.append(UniPoly())
-        else:
-            coeffs.append(p.shift_arg(-smin))
+    for i in range(max(shifts) - smin + 1):
+        s = i + smin
+        p, fall = [], [1]
+        for b, q in enumerate(qs):
+            if 0 <= b - s < len(q) and q[b - s]:
+                p = zadd(p, zscale(fall, q[b - s]))
+            fall = zmul(fall, [i - b, 1])
+        coeffs.append(p)
     return Recurrence(_normalize_family(coeffs), "taylor")
 
 
 def rec_counts(rec: Recurrence) -> Recurrence:
     """Substitute c_n = r_n/n!: shift-s coefficients gain the factor
-    (n+order)(n+order-1)...(n+s+1)."""
+    (n+order)(n+order-1)...(n+s+1).
+
+    The result keeps the factors implicit (see Recurrence).  They are
+    monic, so by Gauss's lemma the expanded family has the content and
+    sign of the Taylor family, and normalizing the Taylor family first
+    normalizes the expanded one.
+    """
     if rec.mode != "taylor":
         raise ValueError("rec_counts expects a taylor-mode recurrence")
-    out = list(rec.coeffs)
-    fall = UP_ONE
-    for s in range(rec.order - 1, -1, -1):
-        fall = fall * UniPoly((s + 1, 1))  # (n+order)...(n+s+1)
-        out[s] = out[s] * fall
-    return Recurrence(_normalize_family(out), "counts")
+    return Recurrence._factored(_normalize_family([p.int_coeffs() for p in rec.coeffs]))
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +248,15 @@ def rec_counts(rec: Recurrence) -> Recurrence:
 # ---------------------------------------------------------------------------
 
 def _peel(polys):
-    """Split b_s(n) = a_s(n) * prod (n+l) over the peeled levels l > s.
+    """Split b_s(n) = a_s(n) * prod (n+l) over the peeled levels l > s,
+    for a recurrence given in expanded form.
 
     Level l = order, ..., 1 is peeled when (n+l) divides each of
     b_0..b_{l-1}, that is, when they all vanish at n = -l; the factors are
     coprime, so no level depends on another.  The remainder of b_s by the
     monic (n+s+1)...(n+order) takes b_s's value at every such n = -l, and
-    is zero when rec_counts multiplied that product in.  Returns the
-    quotients a_s, one exact division each, and, per shift l, whether
+    is zero when the recurrence is an expanded counts recurrence.  Returns
+    the quotients a_s, one exact division each, and, per shift l, whether
     level l was peeled.
     """
     order = len(polys) - 1
@@ -314,12 +352,15 @@ def unroll(rec: Recurrence, init, n_max: int):
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     order = rec.order
-    polys = [p.int_coeffs() for p in rec.coeffs]
+    if rec._taylor is None:
+        quots, peeled = _peel([p.int_coeffs() for p in rec.coeffs])
+    else:
+        # rec_counts left every level's factor (n+l) implicit
+        quots, peeled = [p.int_coeffs() for p in rec._taylor], [False] + [True] * order
     init = [Fraction(v) for v in init]
     if len(init) < 1:
         raise ValueError("initial segment must force at least c_0")
-    quots, peeled = _peel(polys)
-    roots = nonneg_integer_roots(rec.coeffs[order].shift_arg(-order))
+    roots = nonneg_integer_roots(UniPoly(quots[order]).shift_arg(-order))
     blocked = [m for m in roots if len(init) <= m]
     counts = rec.mode == "counts"
     if not blocked or blocked[0] > n_max:

@@ -21,10 +21,11 @@ from regenum.seqtools import (
     rec_to_json,
     unroll,
 )
-from regenum.seqtools import _falling, _peel
+from regenum.seqtools import _peel
 from regenum.exactnum import zeval
 
 from conftest import pipeline, up
+from test_unroll_reference import ref_falling
 
 
 def assert_satisfies(rec, vals):
@@ -99,7 +100,7 @@ class TestRecCounts:
             order = taylor.order
             counts = rec_counts(taylor)
             assert counts.coeffs == tuple(
-                p * _falling(order, order - s) for s, p in enumerate(taylor.coeffs)
+                p * ref_falling(order, order - s) for s, p in enumerate(taylor.coeffs)
             ), ms
 
     def test_mode_guard(self):

@@ -189,6 +189,20 @@ class TestPackedMonomials:
                 elem = ModuleElem(k, MPoly.term(k, e, 3)) if pos is None else ModuleElem(k, None, {pos: MPoly.term(k, e, 3)})
                 assert elem.mul_term(pk.pack_shift(s), RF_ONE.scale_rat(2)).lead() == ((pos, exp_mul(e, s)), RF_ONE.scale_rat(6))
 
+    def test_shift_by_one_shares_coefficients(self, rng):
+        for k in range(1, 5):
+            pk = _packing(k)
+            for _ in range(50):
+                elem = rand_elem(rng, k)
+                s = rand_exponent(rng, k, 3)
+                got = elem.mul_term(pk.pack_shift(s), RF_ONE)
+                assert got.terms == {m + pk.pack_shift(s): x * RF_ONE for m, x in elem.terms.items()}
+                assert all(got.terms[m + pk.pack_shift(s)] is x for m, x in elem.terms.items())
+                cof = rand_mpoly(rng, k, nterms=4, maxdeg=3)
+                moved = cof.mul_term(s, RF_ONE)
+                assert moved.terms == {exp_mul(e, s): x * RF_ONE for e, x in cof.terms.items()}
+                assert all(moved.terms[exp_mul(e, s)] is x for e, x in cof.terms.items())
+
     def test_out_of_range_raises(self):
         for k in range(1, 8):
             pk = _packing(k)

@@ -1,18 +1,21 @@
-"""``seqtools.unroll`` and ``seqtools.nonneg_integer_roots`` against
-test-local copies of the code they replaced: an unroll whose blocked
-indices become symbols carried through a second, symbolic loop, and a root
-finder that isolates roots with a Sturm chain over the rationals.  Same
-values, or the same exception type, message and index."""
+"""``seqtools.unroll``, ``seqtools.nonneg_integer_roots``,
+``seqtools.rec_counts`` and ``seqtools.ode_to_rec`` against test-local
+copies of the code they replaced: an unroll whose blocked indices become
+symbols carried through a second, symbolic loop, a root finder that
+isolates roots with a Sturm chain over the rationals, and the expanded
+counts and Taylor recurrences built on UniPolys.  Same values, or the same
+exception type, message and index; the same text and JSON."""
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
 from regenum import ode_to_rec, seqtools
 from regenum.exactnum import UniPoly, zderiv, zeval, zgcd
 from regenum.seqtools import (
+    ODE,
     InconsistentError,
     Recurrence,
     SequenceError,
@@ -20,6 +23,7 @@ from regenum.seqtools import (
     _peel,
     nonneg_integer_roots,
     rec_counts,
+    rec_to_json,
     unroll,
 )
 
@@ -529,3 +533,157 @@ class TestRootsMatchReference:
     def test_zero_polynomial(self):
         with pytest.raises(ValueError, match="zero polynomial"):
             nonneg_integer_roots(up())
+
+
+# ---------------------------------------------------------------------------
+# Reference: counts recurrences and the Taylor recurrence built in expanded
+# form, as rec_counts and ode_to_rec built them on UniPolys.
+# ---------------------------------------------------------------------------
+
+def ref_normalize(polys):
+    ints = [p.int_coeffs() for p in polys]
+    g = 0
+    for cs in ints:
+        for c in cs:
+            g = gcd(g, c)
+    if g > 1:
+        ints = [[c // g for c in cs] for cs in ints]
+    for cs in reversed(ints):
+        if cs:
+            if cs[-1] < 0:
+                ints = [[-c for c in cs2] for cs2 in ints]
+            break
+    return tuple(UniPoly(cs) for cs in ints)
+
+
+def ref_rec_counts(rec):
+    """The counts recurrence with every falling factor multiplied in: a
+    recurrence given in expanded form, which unroll peels."""
+    out = list(rec.coeffs)
+    fall = up(1)
+    for s in range(rec.order - 1, -1, -1):
+        fall = fall * up(s + 1, 1)  # (n+order)...(n+s+1)
+        out[s] = out[s] * fall
+    return Recurrence(ref_normalize(out), "counts")
+
+
+def ref_falling(shift, b):
+    """(n+shift)(n+shift-1)...(n+shift-b+1) as a polynomial in n."""
+    out = up(1)
+    for i in range(b):
+        out = out * up(shift - i, 1)
+    return out
+
+
+def ref_ode_to_rec(ode):
+    by_shift = {}
+    for b, q in enumerate(ode.coeffs):
+        for a, qc in enumerate(q.coeffs):
+            if qc:
+                s = b - a
+                term = ref_falling(s, b).scale(qc)
+                by_shift[s] = by_shift[s] + term if s in by_shift else term
+    by_shift = {s: p for s, p in by_shift.items() if not p.is_zero()}
+    smin, smax = min(by_shift), max(by_shift)
+    coeffs = [by_shift.get(s, up()).shift_arg(-smin) for s in range(smin, smax + 1)]
+    return Recurrence(ref_normalize(coeffs), "taylor")
+
+
+def rand_taylor_rec(rng):
+    """A Taylor recurrence of order 0..9 whose leading coefficient vanishes
+    at planted indices in 0..10 (or at none), with a common integer factor
+    and sign, and lower coefficients that sometimes carry a factor (n+l)
+    of their own."""
+    order = rng.randint(0, 9)
+    lead = up(rng.choice((-2, -1, 1, 3)))
+    if rng.random() < 0.7:
+        for r in rng.sample(range(1, 11), rng.randint(1, 3)) + [0] * (rng.random() < 0.8):
+            lead = lead * up(order - r, 1)
+    else:
+        lead = lead * up(order, 1) * up(2 * order + 1, 2)
+    coeffs = []
+    for s in range(order):
+        p = rand_poly(rng, 2)
+        while p.is_zero() and not s:
+            p = rand_poly(rng, 2)
+        if rng.random() < 0.3:
+            p = p * up(rng.randint(1, order), 1)
+        coeffs.append(p)
+    scale = up(rng.choice((1, 1, -1, 2, -6)))
+    return Recurrence(tuple(p * scale for p in coeffs) + (lead * scale,), "taylor")
+
+
+def pipeline_recs():
+    """The Taylor recurrences of the CLI tests' models and of the enumerate
+    benchmark's odd-degree model."""
+    return [ode_to_rec(pipeline(ms).ode) for ms in ("se,ll,{2}", "se,ll,{3}", "se,ll,{4}", "me,ll,{5}")]
+
+
+class TestFactoredCounts:
+    """rec_counts keeps the falling factors implicit; unroll runs its Taylor
+    coefficients with every level marked, where an expanded counts
+    recurrence is peeled first."""
+
+    def test_unroll_matches_expanded_form(self):
+        rng = random.Random(1705)
+        kinds = {}
+        for _ in range(1500):
+            rec = rand_taylor_rec(rng)
+            init, n_max = rand_init(rng), rng.randint(0, 14)
+            got = outcome(unroll, rec_counts(rec), init, n_max)
+            assert got == outcome(unroll, ref_rec_counts(rec), init, n_max), (rec, init, n_max)
+            kind = got[0].__name__ if isinstance(got[0], type) else "values"
+            kinds[kind, len(init)] = kinds.get((kind, len(init)), 0) + 1
+        # every outcome, and values from forced segments of each length
+        for kind in ("values", "UnderdeterminedError", "InconsistentError", "SequenceError"):
+            assert sum(v for (k, _), v in kinds.items() if k == kind) >= 5, kinds
+        for length in (1, 2, 3):
+            assert kinds.get(("values", length), 0) >= 5, kinds
+
+    def test_expansion_is_byte_identical(self):
+        rng = random.Random(1706)
+        recs = [rand_taylor_rec(rng) for _ in range(300)] + pipeline_recs()
+        for rec in recs:
+            got, want = rec_counts(rec), ref_rec_counts(rec)
+            assert got.order == want.order
+            assert str(got) == str(want)
+            assert rec_to_json(got) == rec_to_json(want)
+            assert got.degree == want.degree
+            assert got == want and hash(got) == hash(want)
+
+    def test_pipeline_counts_match_expanded_form(self):
+        for rec in pipeline_recs():
+            assert unroll(rec_counts(rec), [1], 300) == unroll(ref_rec_counts(rec), [1], 300)
+
+    def test_factored_form_is_never_peeled(self, monkeypatch):
+        def refuse(polys):
+            raise AssertionError("_peel reached")
+
+        monkeypatch.setattr(seqtools, "_peel", refuse)
+        for rec in pipeline_recs():
+            unroll(rec_counts(rec), [1], 40)
+        rng = random.Random(1707)
+        for _ in range(100):
+            outcome(unroll, rec_counts(rand_taylor_rec(rng)), rand_init(rng), rng.randint(0, 14))
+        # a counts recurrence given in expanded form is still peeled
+        with pytest.raises(AssertionError, match="_peel reached"):
+            unroll(ref_rec_counts(pipeline_recs()[0]), [1], 4)
+
+
+class TestOdeToRecMatchesReference:
+    def test_pipeline_odes(self):
+        for ms in ("se,ll,{2}", "se,ll,{3}", "se,ll,{4}", "me,ll,{5}", "me,la,{2}", "se,lh,{1,2}"):
+            ode = pipeline(ms).ode
+            got, want = ode_to_rec(ode), ref_ode_to_rec(ode)
+            assert got == want and str(got) == str(want), ms
+
+    def test_random_odes(self):
+        rng = random.Random(1708)
+        for _ in range(300):
+            qs = [rand_poly(rng, 4) for _ in range(rng.randint(1, 5))]
+            qs[-1] = qs[-1] or up(rng.choice((-3, 1, 2)))
+            if rng.random() < 0.3:
+                qs = [q * up(rng.choice((-4, 6))) for q in qs]
+            ode = ODE(tuple(qs))
+            got, want = ode_to_rec(ode), ref_ode_to_rec(ode)
+            assert got == want and str(got) == str(want), ode
